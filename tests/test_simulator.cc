@@ -131,5 +131,82 @@ TEST(Simulator, StaticSchemeBulkLoadCounted)
     EXPECT_GE(sim.dma_count, 16u);
 }
 
+// Exact tile-walk results for every traversal order x load scheme on
+// one shape where all 18 mappings are legal and every loop has more
+// than one trip; captured at %.17g. The walk order, the reuse decisions
+// and the DMA chunk sizes all show in these three numbers.
+struct WalkPin
+{
+    TraversalOrder order;
+    LutLoadScheme scheme;
+    double total_s;
+    std::size_t dma_count;
+    double pe_stream_bytes;
+};
+
+const WalkPin kWalkPins[] = {
+    {TraversalOrder::NFC, LutLoadScheme::Static, 0.066875748087071279,
+     336, 163840.0},
+    {TraversalOrder::NFC, LutLoadScheme::CoarseGrain,
+     0.071263544912468182, 2368, 655360.0},
+    {TraversalOrder::NFC, LutLoadScheme::FineGrain, 0.074119367134690362,
+     65856, 655360.0},
+    {TraversalOrder::NCF, LutLoadScheme::Static, 0.068120040150563374,
+     656, 589824.0},
+    {TraversalOrder::NCF, LutLoadScheme::CoarseGrain,
+     0.072507836975960291, 2688, 1081344.0},
+    {TraversalOrder::NCF, LutLoadScheme::FineGrain, 0.075363659198182331,
+     66176, 1081344.0},
+    {TraversalOrder::FNC, LutLoadScheme::Static, 0.066875748087071279,
+     336, 163840.0},
+    {TraversalOrder::FNC, LutLoadScheme::CoarseGrain,
+     0.071263544912468182, 2368, 655360.0},
+    {TraversalOrder::FNC, LutLoadScheme::FineGrain, 0.074119367134690362,
+     65856, 655360.0},
+    {TraversalOrder::FCN, LutLoadScheme::Static, 0.068399303642626863,
+     784, 622592.0},
+    {TraversalOrder::FCN, LutLoadScheme::CoarseGrain,
+     0.068598148087071306, 896, 622592.0},
+    {TraversalOrder::FCN, LutLoadScheme::FineGrain, 0.075642922690245806,
+     66304, 1114112.0},
+    {TraversalOrder::CNF, LutLoadScheme::Static, 0.068120040150563374,
+     656, 589824.0},
+    {TraversalOrder::CNF, LutLoadScheme::CoarseGrain,
+     0.072507836975960291, 2688, 1081344.0},
+    {TraversalOrder::CNF, LutLoadScheme::FineGrain, 0.075363659198182331,
+     66176, 1081344.0},
+    {TraversalOrder::CFN, LutLoadScheme::Static, 0.068399303642626863,
+     784, 622592.0},
+    {TraversalOrder::CFN, LutLoadScheme::CoarseGrain,
+     0.068598148087071306, 896, 622592.0},
+    {TraversalOrder::CFN, LutLoadScheme::FineGrain, 0.075642922690245806,
+     66304, 1114112.0},
+};
+
+TEST(Simulator, WalkPinnedForEveryOrderAndScheme)
+{
+    LutWorkloadShape s = shape();
+    s.cb = 64;
+    LutMapping m;
+    m.ns_tile = 256; // 16 groups
+    m.fs_tile = 32;  // 32 lanes -> 512 PEs; static LUT tile 32 KiB
+    m.nm_tile = 16;  // trips: N 16, F 2, C 8
+    m.fm_tile = 16;
+    m.cbm_tile = 8;
+    m.cb_load_tile = 2;
+    m.f_load_tile = 8;
+    for (const WalkPin &pin : kWalkPins) {
+        m.order = pin.order;
+        m.scheme = pin.scheme;
+        SCOPED_TRACE(m.describe());
+        const SimulatedLutCost sim =
+            simulateLutMapping(upmemPlatform(), s, m);
+        ASSERT_TRUE(sim.legal);
+        EXPECT_EQ(sim.total_s, pin.total_s);
+        EXPECT_EQ(sim.dma_count, pin.dma_count);
+        EXPECT_EQ(sim.pe_stream_bytes, pin.pe_stream_bytes);
+    }
+}
+
 } // namespace
 } // namespace pimdl
