@@ -17,9 +17,9 @@
  *   3. Serving smoke under both backends (threads the backend through
  *      BatchLatencyFn and populates the serving.* metrics schema).
  *
- * `--json <path>` additionally writes the error table in
- * pimdl.bench.backend.v1 JSON. Exits non-zero when the error bound or
- * the sweep monotonicity is violated.
+ * `--json [path]` additionally writes the error table in
+ * pimdl.bench.backend.v1 JSON (default BENCH_backend.json). Exits
+ * non-zero when the error bound or the sweep monotonicity is violated.
  */
 
 #include <algorithm>
@@ -136,8 +136,9 @@ main(int argc, char **argv)
     double host_traffic = 0.0;
     const auto extra = [&](const std::string &arg, int argc_, char **argv_,
                            int &i) {
-        if (arg == "--json" && i + 1 < argc_) {
-            json_out = argv_[++i];
+        if (arg == "--json") {
+            json_out =
+                parseJsonPath(argc_, argv_, i, "BENCH_backend.json");
             return true;
         }
         if (arg == "--host-traffic" && i + 1 < argc_) {
@@ -149,7 +150,7 @@ main(int argc, char **argv)
     };
     const BenchOptions opts = parseBenchArgs(
         argc, argv, extra,
-        " [--json <file>] [--host-traffic <frac>]");
+        " [--json [path]] [--host-traffic <frac>]");
 
     const LutNnParams v4{4, 16};
     TransactionSimConfig txn;

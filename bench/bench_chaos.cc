@@ -137,8 +137,7 @@ main(int argc, char **argv)
     double exception_rate = 0.35;
     double slow_rate = 0.15;
     double heartbeat_loss_rate = 0.08;
-    bool emit_json = false;
-    std::string json_path = "BENCH_chaos.json";
+    std::string json_path; // empty: no --json
 
     const auto extra = [&](const std::string &arg, int argc_,
                            char **argv_, int &i) {
@@ -179,9 +178,7 @@ main(int argc, char **argv)
             return true;
         }
         if (arg == "--json") {
-            emit_json = true;
-            if (i + 1 < argc_ && argv_[i + 1][0] != '-')
-                json_path = argv_[++i];
+            json_path = parseJsonPath(argc_, argv_, i, "BENCH_chaos.json");
             return true;
         }
         return false;
@@ -421,7 +418,7 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
 
-    if (emit_json)
+    if (!json_path.empty())
         writeChaosJson(json_path, entries);
     writeBenchArtifacts(opts);
 

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/rng.h"
 #include "kernels/kernels.h"
 #include "lutnn/converter.h"
@@ -480,11 +481,9 @@ int
 main(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--json") {
-            const std::string path =
-                i + 1 < argc ? argv[i + 1] : "BENCH_kernels.json";
-            return runJsonHarness(path);
-        }
+        if (std::string(argv[i]) == "--json")
+            return runJsonHarness(
+                bench::parseJsonPath(argc, argv, i, "BENCH_kernels.json"));
     }
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))

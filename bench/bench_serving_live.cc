@@ -122,8 +122,7 @@ main(int argc, char **argv)
     double rate = 0.0;       // 0 = derive from calibrated capacity
     std::size_t requests = 0; // 0 = smoke-dependent default
     std::size_t clients = 0;  // 0 = smoke-dependent default
-    bool emit_json = false;
-    std::string json_path = "BENCH_serving.json";
+    std::string json_path; // empty: no --json
 
     const auto extra = [&](const std::string &arg, int argc_,
                            char **argv_, int &i) {
@@ -156,9 +155,8 @@ main(int argc, char **argv)
             return true;
         }
         if (arg == "--json") {
-            emit_json = true;
-            if (i + 1 < argc_ && argv_[i + 1][0] != '-')
-                json_path = argv_[++i];
+            json_path =
+                parseJsonPath(argc_, argv_, i, "BENCH_serving.json");
             return true;
         }
         return false;
@@ -521,7 +519,7 @@ main(int argc, char **argv)
         }
     }
 
-    if (emit_json)
+    if (!json_path.empty())
         writeServingJson(json_path, entries);
     writeBenchArtifacts(opts);
 

@@ -127,14 +127,12 @@ mappingFor(std::size_t n, std::size_t f, std::size_t groups,
 int
 main(int argc, char **argv)
 {
-    bool emit_json = false;
-    std::string json_path = "BENCH_transfer.json";
+    std::string json_path; // empty: no --json
     const auto extra = [&](const std::string &arg, int argc_,
                            char **argv_, int &i) {
         if (arg == "--json") {
-            emit_json = true;
-            if (i + 1 < argc_ && argv_[i + 1][0] != '-')
-                json_path = argv_[++i];
+            json_path =
+                parseJsonPath(argc_, argv_, i, "BENCH_transfer.json");
             return true;
         }
         return false;
@@ -507,7 +505,7 @@ main(int argc, char **argv)
     }
     entries.push_back({"end2end_speedup", end2end_speedup});
 
-    if (emit_json)
+    if (!json_path.empty())
         writeTransferJson(json_path, entries);
     writeBenchArtifacts(opts);
     return 0;

@@ -134,6 +134,27 @@ parsePositiveSize(const std::string &flag, const std::string &value)
 }
 
 /**
+ * Parses the operand of a `--json [path]` flag at argv[@p i]: the next
+ * argument, when there is one, is the path (consumed by advancing
+ * @p i); a trailing `--json` writes to @p default_path. A path that
+ * starts with '-' is a misplaced flag, not a file name: exits 2, so
+ * `--json --smoke` fails instead of writing a file named "--smoke".
+ */
+inline std::string
+parseJsonPath(int argc, char **argv, int &i,
+              const std::string &default_path)
+{
+    if (i + 1 >= argc)
+        return default_path;
+    const std::string path = argv[++i];
+    if (path.empty() || path[0] == '-') {
+        std::cerr << "--json expects a file path, got '" << path << "'\n";
+        std::exit(2);
+    }
+    return path;
+}
+
+/**
  * Hook for bench-specific flags layered over the shared ones. Called
  * with the current argument and the cursor; consume operands by
  * advancing @p i and return true, or return false to reject the flag.

@@ -1,7 +1,6 @@
 #include "transaction.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <utility>
 
@@ -65,14 +64,13 @@ splitBusy(double total_busy_s, double logical_chunks, std::size_t cap)
                                          static_cast<double>(ncmd));
 }
 
-/** splitBusy for a chunked transfer stream priced at bw(chunk_bytes). */
+/** splitBusy for one tile-traffic stream, priced at its bandwidth. */
 std::vector<double>
-splitChunks(double chunks, double chunk_bytes, double bandwidth,
-            std::size_t cap)
+splitChunks(const LutTransfer &stream, std::size_t cap)
 {
-    if (chunks <= 0.0 || chunk_bytes <= 0.0 || bandwidth <= 0.0)
+    if (stream.count <= 0.0 || stream.bytes <= 0.0 || stream.bw <= 0.0)
         return {};
-    return splitBusy(chunks * chunk_bytes / bandwidth, chunks, cap);
+    return splitBusy(stream.seconds(), stream.count, cap);
 }
 
 /**
@@ -280,46 +278,6 @@ pushInterleaved(TxnSim &sim, std::size_t queue, std::size_t phase,
     }
 }
 
-/** reloadCount twin of cost_model.cc (kept in sync by the xval gate). */
-double
-reloadCount(TraversalOrder order, bool depends_n, bool depends_f,
-            bool depends_c, double tn, double tf, double tc)
-{
-    struct Dim
-    {
-        double trips;
-        bool depends;
-    };
-    std::array<Dim, 3> nest{};
-    switch (order) {
-    case TraversalOrder::NFC:
-        nest = {{{tn, depends_n}, {tf, depends_f}, {tc, depends_c}}};
-        break;
-    case TraversalOrder::NCF:
-        nest = {{{tn, depends_n}, {tc, depends_c}, {tf, depends_f}}};
-        break;
-    case TraversalOrder::FNC:
-        nest = {{{tf, depends_f}, {tn, depends_n}, {tc, depends_c}}};
-        break;
-    case TraversalOrder::FCN:
-        nest = {{{tf, depends_f}, {tc, depends_c}, {tn, depends_n}}};
-        break;
-    case TraversalOrder::CNF:
-        nest = {{{tc, depends_c}, {tn, depends_n}, {tf, depends_f}}};
-        break;
-    case TraversalOrder::CFN:
-        nest = {{{tc, depends_c}, {tf, depends_f}, {tn, depends_n}}};
-        break;
-    }
-    double reuse = 1.0;
-    for (int i = 2; i >= 0; --i) {
-        if (nest[static_cast<std::size_t>(i)].depends)
-            break;
-        reuse *= nest[static_cast<std::size_t>(i)].trips;
-    }
-    return (tn * tf * tc) / reuse;
-}
-
 } // namespace
 
 const char *
@@ -383,123 +341,40 @@ TransactionBackend::simulateLut(const LutWorkloadShape &shape,
     PIMDL_REQUIRE(mappingIsLegal(platform_, shape, mapping, &reason),
                   "transaction sim of an illegal mapping: " + reason);
 
-    const std::size_t num_pes = mapping.totalPes(shape);
-    const double pes = static_cast<double>(num_pes);
-    const double lut_dtype = platform_.lut_dtype_bytes;
+    // One command list per stream of the closed form's tile traffic.
+    const LutTileTraffic t = lutTileTraffic(platform_, shape, mapping);
     const std::size_t cap = config_.max_cmds_per_component;
-    const std::size_t banks =
-        std::max<std::size_t>(1, std::min(config_.max_sim_banks, num_pes));
+    const std::size_t banks = std::max<std::size_t>(
+        1, std::min(config_.max_sim_banks, mapping.totalPes(shape)));
 
     TxnSim sim(config_, banks, 1);
 
     // Phase 0 (memory mode): sub-LUT partition transfers over the host
-    // link (Eq. 3-4 quantities) plus the kernel launch.
-    const double index_tile_bytes = static_cast<double>(mapping.ns_tile) *
-                                    shape.cb * shape.index_dtype_bytes;
-    const double lut_tile_bytes = static_cast<double>(shape.cb) *
-                                  shape.ct * mapping.fs_tile * lut_dtype;
-    const double out_tile_bytes = static_cast<double>(mapping.ns_tile) *
-                                  mapping.fs_tile *
-                                  shape.output_dtype_bytes;
+    // link (Eq. 3-4) plus the kernel launch.
     sim.pushAll(sim.linkQueue(), TxnCommandKind::Broadcast, 0,
-                splitChunks(pes, index_tile_bytes,
-                            platform_.host_broadcast.at(index_tile_bytes),
-                            cap));
-    if (!platform_.lut_resident) {
-        sim.pushAll(sim.linkQueue(), TxnCommandKind::Scatter, 0,
-                    splitChunks(pes, lut_tile_bytes,
-                                platform_.host_scatter.at(lut_tile_bytes),
-                                cap));
-    }
+                splitChunks(t.broadcast, cap));
+    sim.pushAll(sim.linkQueue(), TxnCommandKind::Scatter, 0,
+                splitChunks(t.scatter, cap));
     sim.push(sim.linkQueue(), TxnCommandKind::KernelLaunch, 0,
              platform_.kernel_launch_overhead_s);
 
     // Phase 1 (PIM mode): the micro-kernel loop nest on every bank, at
     // the tile granularity of Eq. 6-10.
-    const double tn =
-        static_cast<double>(mapping.ns_tile) / mapping.nm_tile;
-    const double tf =
-        static_cast<double>(mapping.fs_tile) / mapping.fm_tile;
-    const double tc = static_cast<double>(shape.cb) / mapping.cbm_tile;
-    const double iters = tn * tf * tc;
-
-    const double idx_mtile = static_cast<double>(mapping.nm_tile) *
-                             mapping.cbm_tile * shape.index_dtype_bytes;
-    const double idx_loads =
-        reloadCount(mapping.order, true, false, true, tn, tf, tc);
-    const double out_mtile =
-        static_cast<double>(mapping.nm_tile) * mapping.fm_tile * 4.0;
-    const double out_loads =
-        reloadCount(mapping.order, true, true, false, tn, tf, tc);
-
-    std::vector<double> lut_cmds;
-    switch (mapping.scheme) {
-    case LutLoadScheme::Static: {
-        // One bulk DMA of the whole per-PE LUT tile at kernel start.
-        const double bytes = static_cast<double>(shape.cb) * shape.ct *
-                             mapping.fs_tile * lut_dtype;
-        lut_cmds = splitBusy(bytes / platform_.pe_stream.peak, 1.0, cap);
-        break;
-    }
-    case LutLoadScheme::CoarseGrain: {
-        const double region_loads =
-            reloadCount(mapping.order, false, true, true, tn, tf, tc);
-        const double chunks_per_region =
-            (static_cast<double>(mapping.cbm_tile) /
-             mapping.cb_load_tile) *
-            (static_cast<double>(mapping.fm_tile) / mapping.f_load_tile);
-        const double chunk_bytes =
-            static_cast<double>(mapping.cb_load_tile) * shape.ct *
-            mapping.f_load_tile * lut_dtype;
-        lut_cmds = splitChunks(region_loads * chunks_per_region,
-                               chunk_bytes,
-                               platform_.pe_stream.at(chunk_bytes), cap);
-        break;
-    }
-    case LutLoadScheme::FineGrain: {
-        const double chunk_bytes =
-            static_cast<double>(mapping.f_load_tile) * lut_dtype;
-        const double chunks =
-            iters * mapping.nm_tile * mapping.cbm_tile *
-            (static_cast<double>(mapping.fm_tile) / mapping.f_load_tile);
-        const double eff_bw = std::min(
-            platform_.pe_stream.peak,
-            platform_.pe_stream.at(chunk_bytes) *
-                static_cast<double>(platform_.pe_parallel_slots));
-        lut_cmds = splitChunks(chunks, chunk_bytes, eff_bw, cap);
-        break;
-    }
-    }
-
-    const double adds = static_cast<double>(mapping.ns_tile) *
-                        mapping.fs_tile * shape.cb;
-    const double lookups =
-        static_cast<double>(mapping.ns_tile) * shape.cb * tf;
-    const double reduce_s = adds / platform_.pe_add_ops_per_s +
-                            lookups / platform_.pe_lookup_ops_per_s;
-
     const std::vector<std::pair<TxnCommandKind, std::vector<double>>>
         components = {
-            {TxnCommandKind::LdIndex,
-             splitChunks(idx_loads, idx_mtile,
-                         platform_.pe_stream.at(idx_mtile), cap)},
-            {TxnCommandKind::LdLut, lut_cmds},
-            {TxnCommandKind::LdOutput,
-             splitChunks(out_loads, out_mtile,
-                         platform_.pe_stream.at(out_mtile), cap)},
-            {TxnCommandKind::StOutput,
-             splitChunks(out_loads, out_mtile,
-                         platform_.pe_stream.at(out_mtile), cap)},
-            {TxnCommandKind::Reduce, splitBusy(reduce_s, iters, cap)},
+            {TxnCommandKind::LdIndex, splitChunks(t.ld_index, cap)},
+            {TxnCommandKind::LdLut, splitChunks(t.ld_lut, cap)},
+            {TxnCommandKind::LdOutput, splitChunks(t.ld_output, cap)},
+            {TxnCommandKind::StOutput, splitChunks(t.ld_output, cap)},
+            {TxnCommandKind::Reduce,
+             splitBusy(t.reduce_s, t.iterations(), cap)},
         };
     for (std::size_t bank = 0; bank < banks; ++bank)
         pushInterleaved(sim, sim.bankQueue(bank, 0), 1, components);
 
     // Phase 2 (memory mode): output gather.
     sim.pushAll(sim.linkQueue(), TxnCommandKind::Gather, 2,
-                splitChunks(pes, out_tile_bytes,
-                            platform_.host_gather.at(out_tile_bytes),
-                            cap));
+                splitChunks(t.gather, cap));
 
     sim.switchBefore(1);
     sim.switchBefore(2);

@@ -5,10 +5,11 @@
  * and LP5X-PIM Sim, PAPERS.md).
  *
  * Per plan node the backend generates an explicit command stream from
- * the same tile quantities the analytical model prices (cost_model.cc):
- * host-link broadcast/scatter/gather commands per PE payload, and
- * per-bank micro-kernel commands (index/LUT/output tile loads, partial
- * stores, reduce slices) enqueued into representative bank FIFOs. A
+ * the LutTileTraffic the analytical model prices (cost_model.h): one
+ * command list per traffic stream — host-link broadcast/scatter/gather
+ * commands per PE payload, and per-bank micro-kernel commands
+ * (index/LUT/output tile loads, partial stores, reduce slices)
+ * enqueued into representative bank FIFOs. A
  * ClockTick() event loop issues one command per tick onto the earliest
  * available resource, with barrier phases (broadcast -> kernel ->
  * gather) separated by PIM-mode/memory-mode switches.

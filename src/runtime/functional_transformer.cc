@@ -17,13 +17,13 @@ std::size_t
 roleIndex(LinearRole role)
 {
     switch (role) {
-      case LinearRole::QkvProjection:
+    case LinearRole::QkvProjection:
         return 0;
-      case LinearRole::OutProjection:
+    case LinearRole::OutProjection:
         return 1;
-      case LinearRole::Ffn1:
+    case LinearRole::Ffn1:
         return 2;
-      case LinearRole::Ffn2:
+    case LinearRole::Ffn2:
         return 3;
     }
     return 0;
@@ -44,8 +44,7 @@ FunctionalTransformer::FunctionalTransformer(
     Rng rng(cfg.seed);
     auto init = [&](std::size_t r, std::size_t c) {
         Tensor t(r, c);
-        const float stddev =
-            std::sqrt(2.0f / static_cast<float>(r + c));
+        const float stddev = std::sqrt(2.0f / static_cast<float>(r + c));
         t.fillGaussian(rng, 0.0f, stddev);
         return t;
     };
@@ -111,13 +110,13 @@ FunctionalTransformer::denseLinear(std::size_t layer, LinearRole role,
 {
     const FunctionalBlockWeights &w = blocks_[layer];
     switch (role) {
-      case LinearRole::QkvProjection:
+    case LinearRole::QkvProjection:
         return gemmBias(x, w.wqkv, w.bqkv);
-      case LinearRole::OutProjection:
+    case LinearRole::OutProjection:
         return gemmBias(x, w.wo, w.bo);
-      case LinearRole::Ffn1:
+    case LinearRole::Ffn1:
         return gemmBias(x, w.w1, w.b1);
-      case LinearRole::Ffn2:
+    case LinearRole::Ffn2:
         return gemmBias(x, w.w2, w.b2);
     }
     return gemmBias(x, w.wqkv, w.bqkv);
@@ -130,13 +129,13 @@ FunctionalTransformer::lutFor(std::size_t layer, LinearRole role) const
                   "convertToLut must run before LUT backends");
     const FunctionalBlockLuts &luts = luts_[layer];
     switch (role) {
-      case LinearRole::QkvProjection:
+    case LinearRole::QkvProjection:
         return luts.qkv;
-      case LinearRole::OutProjection:
+    case LinearRole::OutProjection:
         return luts.o;
-      case LinearRole::Ffn1:
+    case LinearRole::Ffn1:
         return luts.ffn1;
-      case LinearRole::Ffn2:
+    case LinearRole::Ffn2:
         return luts.ffn2;
     }
     return luts.qkv;
@@ -172,14 +171,6 @@ FunctionalTransformer::forward(const Tensor &tokens, std::size_t seq_len,
     if (pim_planned_)
         options.platform = &platform_;
     const Plan plan = lowerTransformer(model, params, mode, options);
-
-    // Fresh transfer accounting for this forward pass.
-    if (backend == LinearBackendKind::PimLut) {
-        MutexLock lock(transfer_mu_);
-        last_transfer_ = TransferReport{};
-        last_pim_model_s_ = 0.0;
-        last_pim_engine_s_ = 0.0;
-    }
 
     // Walker state: `x` is the residual stream, `cur` the most recent
     // operator output, `idx` the pending CCS result for the PIM path.
@@ -224,29 +215,6 @@ FunctionalTransformer::forward(const Tensor &tokens, std::size_t seq_len,
                     /*quantized=*/true, nullptr, {},
                     engine ? &ctx : nullptr);
                 cur = result.output;
-                {
-                    MutexLock lock(transfer_mu_);
-                    last_transfer_.bursts += result.transfer.bursts;
-                    last_transfer_.staged_bytes +=
-                        result.transfer.staged_bytes;
-                    last_transfer_.transfer_model_s +=
-                        result.transfer.transfer_model_s;
-                    last_transfer_.hidden_model_s +=
-                        result.transfer.hidden_model_s;
-                    last_transfer_.saved_stage_s +=
-                        result.transfer.saved_stage_s;
-                    last_transfer_.resident_hits +=
-                        result.transfer.resident_hits;
-                    last_transfer_.resident_misses +=
-                        result.transfer.resident_misses;
-                    last_transfer_.stalls += result.transfer.stalls;
-                    last_transfer_.corrupt_retries +=
-                        result.transfer.corrupt_retries;
-                    last_transfer_.burst_added_s +=
-                        result.transfer.burst_added_s;
-                    last_pim_model_s_ += result.modelSeconds();
-                    last_pim_engine_s_ += result.engineSeconds();
-                }
             }
             break;
         }
@@ -307,8 +275,7 @@ FunctionalTransformer::convertToLut(const Tensor &calibration,
         const FunctionalBlockWeights &w = blocks_[l];
 
         luts_[l].qkv = convertLinearLayer(w.wqkv, w.bqkv, x, options);
-        const Tensor qkv =
-            denseLinear(l, LinearRole::QkvProjection, x);
+        const Tensor qkv = denseLinear(l, LinearRole::QkvProjection, x);
         const Tensor ctx = attention(
             qkv.colSlice(0, config_.hidden),
             qkv.colSlice(config_.hidden, 2 * config_.hidden),
@@ -365,27 +332,6 @@ FunctionalTransformer::enableTransferEngine(
     transfer_scheduler_ = scheduler;
     resident_luts_ = resident;
     stage_waves_ = stage_waves;
-}
-
-TransferReport
-FunctionalTransformer::lastTransferReport() const
-{
-    MutexLock lock(transfer_mu_);
-    return last_transfer_;
-}
-
-double
-FunctionalTransformer::lastPimModelSeconds() const
-{
-    MutexLock lock(transfer_mu_);
-    return last_pim_model_s_;
-}
-
-double
-FunctionalTransformer::lastPimEngineSeconds() const
-{
-    MutexLock lock(transfer_mu_);
-    return last_pim_engine_s_;
 }
 
 } // namespace pimdl

@@ -27,9 +27,9 @@ namespace pimdl {
 /** How the four linear roles of each encoder block execute. */
 enum class LinearBackendKind
 {
-    Dense,     ///< Exact GEMM on the host.
-    HostLut,   ///< LUT-NN on the host (FP32 LUTs).
-    PimLut,    ///< LUT-NN distributed across simulated PIM PEs (INT8).
+    Dense,   ///< Exact GEMM on the host.
+    HostLut, ///< LUT-NN on the host (FP32 LUTs).
+    PimLut,  ///< LUT-NN distributed across simulated PIM PEs (INT8).
 };
 
 /** Geometry of the functional encoder. */
@@ -112,14 +112,6 @@ class FunctionalTransformer
                               transfer::ResidentLutManager *resident,
                               std::size_t stage_waves = 4);
 
-    /** Aggregated transfer-engine outcome of the last forward(). */
-    TransferReport lastTransferReport() const;
-
-    /** Summed modeled seconds of the last forward()'s LUT ops:
-     * analytical baseline and transfer-engine pricing. */
-    double lastPimModelSeconds() const;
-    double lastPimEngineSeconds() const;
-
     /** True once convertToLut has run. */
     bool converted() const { return !luts_.empty(); }
 
@@ -137,13 +129,6 @@ class FunctionalTransformer
     transfer::TransferScheduler *transfer_scheduler_ = nullptr;
     transfer::ResidentLutManager *resident_luts_ = nullptr;
     std::size_t stage_waves_ = 4;
-    /** Guards the per-forward accumulators: serving workers may run
-     * forward() concurrently on one shared transformer. */
-    mutable Mutex transfer_mu_{"runtime.transformer.transfer"};
-    mutable TransferReport last_transfer_ PIMDL_GUARDED_BY(transfer_mu_);
-    mutable double last_pim_model_s_ PIMDL_GUARDED_BY(transfer_mu_) = 0.0;
-    mutable double last_pim_engine_s_ PIMDL_GUARDED_BY(transfer_mu_) =
-        0.0;
 
     /** Exact dense GEMM of one linear role. */
     Tensor denseLinear(std::size_t layer, LinearRole role,

@@ -9,12 +9,101 @@
 #ifndef PIMDL_TUNER_COST_MODEL_H
 #define PIMDL_TUNER_COST_MODEL_H
 
+#include <array>
 #include <string>
 
 #include "pim/platform.h"
 #include "tuner/mapping.h"
 
 namespace pimdl {
+
+/** Loop dimensions of the micro-kernel tile nest. */
+enum class LoopDim
+{
+    N,
+    F,
+    C,
+};
+
+/**
+ * One stream of equal-sized transfers: @c count transfers of @c bytes
+ * each, moved at bandwidth @c bw (bytes/s).
+ */
+struct LutTransfer
+{
+    double count = 0.0;
+    double bytes = 0.0;
+    double bw = 0.0;
+
+    double totalBytes() const { return count * bytes; }
+
+    double seconds() const
+    {
+        return count > 0.0 ? count * bytes / bw : 0.0;
+    }
+};
+
+/**
+ * Per-tile traffic of one LUT operator under one mapping: the quantities
+ * the paper's Eq. 3-10 price. The closed form (evaluateLutMapping), the
+ * transaction backend's command streams and the tile-walk simulator all
+ * read them from here. Counts are per PE (PEs run in lock-step on
+ * identical tiles) except the host-link streams, which count one
+ * transfer per PE.
+ */
+struct LutTileTraffic
+{
+    /** Micro-kernel loop nest for the traversal order, outermost first. */
+    std::array<LoopDim, 3> nest{};
+    /** Trip count of each loop, indexed by LoopDim. */
+    std::array<double, 3> trips{};
+
+    /** On-chip buffer bytes per PE (index/output micro-tiles + LUT). */
+    double buffer_bytes = 0.0;
+    /** Bank-resident bytes per PE: sub-LUT tile plus index and output
+     * slices. */
+    double resident_bytes = 0.0;
+
+    // Sub-LUT partition (Eq. 3-4), one transfer per PE over the host
+    // link. scatter.count is zero when LUTs stay bank-resident.
+    LutTransfer broadcast; ///< index tile, shared by a PE group
+    LutTransfer scatter;   ///< sub-LUT tile, distinct per lane
+    LutTransfer gather;    ///< output tile
+
+    // Micro-kernel (Eq. 6-10), PE-local streams.
+    LutTransfer ld_index;
+    LutTransfer ld_lut;
+    /** Output micro-tile loads; each is matched by one partials store. */
+    LutTransfer ld_output;
+    /**
+     * LUT chunks fetched per visit of the walk: per (C, F) region load
+     * for the coarse scheme, per iteration for the fine scheme, one bulk
+     * tile for the static scheme.
+     */
+    double lut_chunks_per_visit = 0.0;
+    /** Reduce latency (Eq. 10): accumulates plus index decode, seconds. */
+    double reduce_s = 0.0;
+
+    double trip(LoopDim dim) const
+    {
+        return trips[static_cast<std::size_t>(dim)];
+    }
+
+    /** Micro-kernel iterations (one reduce slice each). */
+    double iterations() const
+    {
+        return trip(LoopDim::N) * trip(LoopDim::F) * trip(LoopDim::C);
+    }
+};
+
+/**
+ * Tile traffic of @p mapping of @p shape on @p platform. Capacity is
+ * not checked here; the result is only meaningful for mappings whose
+ * tiles pass the divisibility checks of mappingIsLegal.
+ */
+LutTileTraffic lutTileTraffic(const PimPlatformConfig &platform,
+                              const LutWorkloadShape &shape,
+                              const LutMapping &mapping);
 
 /** Full latency/traffic breakdown of one LUT operator execution. */
 struct LutCostBreakdown
@@ -59,7 +148,8 @@ struct LutCostBreakdown
 
     double microKernelTotal() const
     {
-        return t_ld_index + t_ld_lut + t_ld_output + t_st_output + t_reduce;
+        return t_ld_index + t_ld_lut + t_ld_output + t_st_output +
+               t_reduce;
     }
 
     double total() const
@@ -90,19 +180,21 @@ class LutTimingModel
 /**
  * Evaluates the analytical model for @p mapping of @p shape on
  * @p platform. Returns an illegal breakdown (legal == false, with a
- * reason) when the mapping violates divisibility, PE-count, or buffer
- * constraints.
+ * reason) when the mapping violates divisibility, PE-count, or
+ * capacity constraints.
  */
 LutCostBreakdown evaluateLutMapping(const PimPlatformConfig &platform,
                                     const LutWorkloadShape &shape,
                                     const LutMapping &mapping);
 
 /**
- * Checks only the structural constraints of @p mapping (divisibility,
- * Eq. 5 PE count, buffer capacity); cheaper than a full evaluation.
+ * Checks only the constraints of @p mapping (divisibility, Eq. 5 PE
+ * count, on-chip buffer and bank residency capacity); cheaper than a
+ * full evaluation.
  */
 bool mappingIsLegal(const PimPlatformConfig &platform,
-                    const LutWorkloadShape &shape, const LutMapping &mapping,
+                    const LutWorkloadShape &shape,
+                    const LutMapping &mapping,
                     std::string *reason = nullptr);
 
 /** On-chip buffer bytes the mapping requires on each PE. */

@@ -1,62 +1,15 @@
 #include "simulator.h"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 
 namespace pimdl {
 
-namespace {
-
-struct LoopDims
-{
-    std::size_t tn, tf, tc;
-};
-
-/** Maps a traversal order to per-level trip counts (outermost first). */
-std::array<std::size_t, 3>
-tripsFor(TraversalOrder order, const LoopDims &dims)
-{
-    auto pick = [&](char c) {
-        switch (c) {
-          case 'N':
-            return dims.tn;
-          case 'F':
-            return dims.tf;
-          default:
-            return dims.tc;
-        }
-    };
-    const char *name = traversalOrderName(order);
-    return {pick(name[0]), pick(name[1]), pick(name[2])};
-}
-
-/** Indices of (n, f, c) inside the nest for an order. */
-std::array<int, 3>
-axisPositions(TraversalOrder order)
-{
-    const char *name = traversalOrderName(order);
-    std::array<int, 3> pos{};
-    for (int i = 0; i < 3; ++i) {
-        switch (name[i]) {
-          case 'N':
-            pos[0] = i;
-            break;
-          case 'F':
-            pos[1] = i;
-            break;
-          default:
-            pos[2] = i;
-            break;
-        }
-    }
-    return pos;
-}
-
-} // namespace
-
 SimulatedLutCost
 simulateLutMapping(const PimPlatformConfig &platform,
-                   const LutWorkloadShape &shape, const LutMapping &mapping,
+                   const LutWorkloadShape &shape,
+                   const LutMapping &mapping,
                    const SimulatorOptions &options)
 {
     SimulatedLutCost sim;
@@ -64,20 +17,22 @@ simulateLutMapping(const PimPlatformConfig &platform,
         return sim;
     sim.legal = true;
 
-    const LoopDims dims{
-        mapping.ns_tile / mapping.nm_tile,
-        mapping.fs_tile / mapping.fm_tile,
-        shape.cb / mapping.cbm_tile,
+    // The walk order and the DMA chunk sizes are the closed form's; only
+    // the reload decisions and the per-event costs are the walk's own.
+    const LutTileTraffic traffic =
+        lutTileTraffic(platform, shape, mapping);
+    const auto axis = [](LoopDim dim) {
+        return static_cast<std::size_t>(dim);
     };
-    const auto trips = tripsFor(mapping.order, dims);
-    const auto pos = axisPositions(mapping.order);
-
-    const double lut_dtype = platform.lut_dtype_bytes;
-    const double idx_mtile_bytes = static_cast<double>(mapping.nm_tile) *
-                                   mapping.cbm_tile *
-                                   shape.index_dtype_bytes;
-    const double out_mtile_bytes =
-        static_cast<double>(mapping.nm_tile) * mapping.fm_tile * 4.0;
+    std::array<std::size_t, 3> trips{};
+    for (std::size_t d = 0; d < trips.size(); ++d)
+        trips[d] = static_cast<std::size_t>(traffic.trips[d]);
+    const std::size_t outer = axis(traffic.nest[0]);
+    const std::size_t middle = axis(traffic.nest[1]);
+    const std::size_t inner = axis(traffic.nest[2]);
+    const auto lut_chunks =
+        static_cast<std::size_t>(traffic.lut_chunks_per_visit);
+    const double slots = static_cast<double>(platform.pe_parallel_slots);
 
     auto dma = [&](double bytes) {
         sim.micro_kernel_s += options.dma_setup_s +
@@ -90,8 +45,7 @@ simulateLutMapping(const PimPlatformConfig &platform,
 
     // Static scheme: one bulk LUT fetch before the nest.
     if (mapping.scheme == LutLoadScheme::Static) {
-        const double bytes = static_cast<double>(shape.cb) * shape.ct *
-                             mapping.fs_tile * lut_dtype;
+        const double bytes = traffic.ld_lut.bytes;
         // Bulk DMA streamed in 2 KiB chunks (UPMEM DMA max burst).
         const double chunk = 2048.0;
         const std::size_t chunks =
@@ -103,68 +57,51 @@ simulateLutMapping(const PimPlatformConfig &platform,
     // Track previously-loaded tile coordinates for reuse decisions.
     long prev_n = -1, prev_f = -1, prev_c = -1;
 
-    std::array<std::size_t, 3> it{};
-    for (it[0] = 0; it[0] < trips[0]; ++it[0]) {
-        for (it[1] = 0; it[1] < trips[1]; ++it[1]) {
-            for (it[2] = 0; it[2] < trips[2]; ++it[2]) {
-                const long n = static_cast<long>(it[pos[0]]);
-                const long f = static_cast<long>(it[pos[1]]);
-                const long c = static_cast<long>(it[pos[2]]);
+    // Tile coordinate per LoopDim, advanced in nest order.
+    std::array<std::size_t, 3> at{};
+    for (at[outer] = 0; at[outer] < trips[outer]; ++at[outer]) {
+        for (at[middle] = 0; at[middle] < trips[middle]; ++at[middle]) {
+            for (at[inner] = 0; at[inner] < trips[inner]; ++at[inner]) {
+                const long n = static_cast<long>(at[axis(LoopDim::N)]);
+                const long f = static_cast<long>(at[axis(LoopDim::F)]);
+                const long c = static_cast<long>(at[axis(LoopDim::C)]);
 
                 sim.micro_kernel_s += options.loop_overhead_s;
 
                 // Index MTile load when its (n, c) region changes.
                 if (n != prev_n || c != prev_c)
-                    dma(idx_mtile_bytes);
+                    dma(traffic.ld_index.bytes);
 
                 // Output MTile: store previous partials and load new ones
                 // when the (n, f) region changes.
                 if (n != prev_n || f != prev_f) {
                     if (prev_n >= 0)
-                        dma(out_mtile_bytes); // store eviction
-                    dma(out_mtile_bytes);     // load
+                        dma(traffic.ld_output.bytes); // store eviction
+                    dma(traffic.ld_output.bytes);     // load
                 }
 
                 // LUT traffic for this iteration.
                 switch (mapping.scheme) {
-                  case LutLoadScheme::Static:
+                case LutLoadScheme::Static:
                     break;
-                  case LutLoadScheme::CoarseGrain: {
+                case LutLoadScheme::CoarseGrain:
                     if (c != prev_c || f != prev_f) {
-                        const std::size_t chunks =
-                            (mapping.cbm_tile / mapping.cb_load_tile) *
-                            (mapping.fm_tile / mapping.f_load_tile);
-                        const double chunk_bytes =
-                            static_cast<double>(mapping.cb_load_tile) *
-                            shape.ct * mapping.f_load_tile * lut_dtype;
-                        for (std::size_t k = 0; k < chunks; ++k)
-                            dma(chunk_bytes);
+                        for (std::size_t k = 0; k < lut_chunks; ++k)
+                            dma(traffic.ld_lut.bytes);
                     }
                     break;
-                  }
-                  case LutLoadScheme::FineGrain: {
-                    const double chunk_bytes =
-                        static_cast<double>(mapping.f_load_tile) *
-                        lut_dtype;
-                    const std::size_t chunks =
-                        mapping.nm_tile * mapping.cbm_tile *
-                        (mapping.fm_tile / mapping.f_load_tile);
+                case LutLoadScheme::FineGrain:
                     // Hardware threads overlap DMA setup; amortize the
                     // per-transfer cost across the parallel slots.
-                    const double slots = static_cast<double>(
-                        platform.pe_parallel_slots);
                     sim.micro_kernel_s +=
-                        static_cast<double>(chunks) *
+                        static_cast<double>(lut_chunks) *
                         (options.dma_setup_s / slots +
-                         chunk_bytes /
-                             std::min(platform.pe_stream.peak,
-                                      platform.pe_stream.at(chunk_bytes) *
-                                          slots));
+                         traffic.ld_lut.bytes / traffic.ld_lut.bw);
                     sim.pe_stream_bytes +=
-                        static_cast<double>(chunks) * chunk_bytes;
-                    sim.dma_count += chunks;
+                        static_cast<double>(lut_chunks) *
+                        traffic.ld_lut.bytes;
+                    sim.dma_count += lut_chunks;
                     break;
-                  }
                 }
 
                 // Reduce work of this iteration, derated by the per-row
@@ -188,15 +125,16 @@ simulateLutMapping(const PimPlatformConfig &platform,
         }
     }
     // Final output eviction.
-    dma(out_mtile_bytes);
+    dma(traffic.ld_output.bytes);
 
     sim.micro_kernel_s += reduce_s;
 
-    // Sub-LUT stage: same host-side analytical transfers as the model.
-    const LutCostBreakdown analytic =
-        evaluateLutMapping(platform, shape, mapping);
-    sim.total_s = analytic.subLutTotal() + analytic.kernel_launch +
-                  sim.micro_kernel_s;
+    // Sub-LUT stage: the host-side transfers of the closed form.
+    const double sub_lut_s = traffic.broadcast.seconds() +
+                             traffic.scatter.seconds() +
+                             traffic.gather.seconds();
+    sim.total_s =
+        sub_lut_s + platform.kernel_launch_overhead_s + sim.micro_kernel_s;
     return sim;
 }
 

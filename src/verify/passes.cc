@@ -419,41 +419,13 @@ CapacityPass::run(const VerifyContext &ctx, VerifyResult &result) const
                                "(structural plan)");
             continue;
         }
-        const LutWorkloadShape &shape = node.lut_shape;
-        const LutMapping &mapping = node.mapping;
-
+        // mappingIsLegal covers the on-chip (WRAM) buffer and the
+        // per-PE resident working set in local memory (MRAM/bank).
         std::string reason;
-        if (!mappingIsLegal(platform, shape, mapping, &reason)) {
+        if (!mappingIsLegal(platform, node.lut_shape, node.mapping,
+                            &reason)) {
             result.addNodeDiag(Severity::Error, pass, node.id,
                                "illegal mapping: " + reason);
-            continue;
-        }
-
-        // Per-PE resident working set in local memory (MRAM/bank):
-        // the sub-LUT tile plus the index and output slices the PE
-        // streams through. The on-chip (WRAM) budget is enforced by
-        // mappingIsLegal via mappingBufferBytes.
-        const double lut_tile = static_cast<double>(shape.cb) *
-                                static_cast<double>(shape.ct) *
-                                static_cast<double>(mapping.fs_tile) *
-                                platform.lut_dtype_bytes;
-        const double index_slice =
-            static_cast<double>(mapping.ns_tile) *
-            static_cast<double>(shape.cb) * shape.index_dtype_bytes;
-        const double output_slice =
-            static_cast<double>(mapping.ns_tile) *
-            static_cast<double>(mapping.fs_tile) *
-            shape.output_dtype_bytes;
-        const double resident = lut_tile + index_slice + output_slice;
-        if (resident >
-            static_cast<double>(platform.pe_local_mem_bytes)) {
-            result.addNodeDiag(
-                Severity::Error, pass, node.id,
-                "resident LUT working set of " +
-                    std::to_string(static_cast<std::size_t>(resident)) +
-                    " bytes exceeds the PE local memory of " +
-                    std::to_string(platform.pe_local_mem_bytes) +
-                    " bytes");
         }
     }
 }

@@ -162,10 +162,10 @@ class DevicePlacementPass final : public VerifyPass
 
 /**
  * Per-platform capacity: every attached mapping passes the tuner's
- * structural legality (divisibility, Eq. 5 PE count, on-chip buffer
- * capacity) and its resident working set — LUT tile plus index and
- * output slices — fits the PE local memory. Skipped (with a Note)
- * when the context carries no platform.
+ * legality check, mappingIsLegal (divisibility, Eq. 5 PE count,
+ * on-chip buffer capacity, and a resident working set — LUT tile plus
+ * index and output slices — that fits the PE local memory). Skipped
+ * (with a Note) when the context carries no platform.
  */
 class CapacityPass final : public VerifyPass
 {

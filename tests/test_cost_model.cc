@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "plan/lowering.h"
 #include "tuner/autotuner.h"
 #include "tuner/cost_model.h"
+#include "verify/verify.h"
 
 namespace pimdl {
 namespace {
@@ -176,6 +178,52 @@ TEST(CostModel, LinkBytesCountUniquePayloads)
     const double expected =
         32768.0 * 256 * 2 + 256.0 * 16 * 4096 * 1 + 32768.0 * 4096 * 4;
     EXPECT_NEAR(cost.link_bytes, expected, 1.0);
+}
+
+TEST(CostModel, RejectsBankResidencyOverflowOnHbmPim)
+{
+    // BERT-large FFN2 on HBM-PIM: fp16 LUT entries make an fs_tile=512
+    // sub-LUT tile 1024 x 16 x 512 x 2 B = 16 MiB, so with its index and
+    // output slices the resident working set outgrows the 16 MiB bank
+    // while every tile divides and the on-chip buffer fits.
+    const PimPlatformConfig platform = hbmPimPlatform();
+    LoweringOptions options;
+    options.platform = &platform;
+    Plan plan = lowerTransformer(bertLarge(), LutNnParams{4, 16},
+                                 ExecutionMode::PimDl, options);
+    PlanNode *ffn2 = nullptr;
+    for (PlanNode &node : plan.nodes) {
+        if (node.kind == PlanOpKind::LutOp &&
+            node.role == LinearRole::Ffn2) {
+            ffn2 = &node;
+            break;
+        }
+    }
+    ASSERT_NE(ffn2, nullptr);
+
+    LutMapping m;
+    m.ns_tile = ffn2->lut_shape.n / 128; // 128 groups x 2 lanes
+    m.fs_tile = 512;
+    m.nm_tile = 8;
+    m.fm_tile = 64;
+    m.cbm_tile = 16;
+    m.order = TraversalOrder::NFC;
+    m.scheme = LutLoadScheme::CoarseGrain;
+    m.cb_load_tile = 2;
+    m.f_load_tile = 8;
+    EXPECT_LE(mappingBufferBytes(platform, ffn2->lut_shape, m),
+              static_cast<double>(platform.pe_buffer_bytes));
+    std::string reason;
+    EXPECT_FALSE(mappingIsLegal(platform, ffn2->lut_shape, m, &reason));
+    EXPECT_EQ(reason, "resident working set exceeds the PE local memory");
+
+    ffn2->mapping = m;
+    ffn2->mapping_attached = true;
+    const verify::VerifyResult result =
+        verify::PassManager::withDefaultPasses().run(plan, &platform);
+    EXPECT_FALSE(result.ok());
+    EXPECT_TRUE(result.hasNodeDiag("capacity", ffn2->id))
+        << result.summary();
 }
 
 TEST(CostModel, BufferBytesPerScheme)
