@@ -25,7 +25,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -33,13 +32,13 @@
 
 #include "bench_util.h"
 #include "common/table.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
 #include "runtime/engine.h"
 #include "runtime/serving.h"
 
 using namespace pimdl;
 using namespace pimdl::bench;
+using obs::Metric;
 
 namespace {
 
@@ -76,6 +75,19 @@ struct XvalEntry
                 err_total) /
                5.0;
     }
+
+    RecordFields
+    fields() const
+    {
+        return {{"model", model},
+                {"analytical_s", analytical_s},
+                {"transaction_s", transaction_s},
+                {"err_ccs", err_ccs},
+                {"err_lut", err_lut},
+                {"err_attention", err_attention},
+                {"err_other", err_other},
+                {"err_total", err_total}};
+    }
 };
 
 /** One arbitration-sweep point. */
@@ -84,48 +96,15 @@ struct SweepEntry
     double intensity = 0.0;
     double total_s = 0.0;
     double slowdown = 1.0;
-};
 
-void
-writeBackendJson(const std::string &path,
-                 const std::vector<XvalEntry> &entries,
-                 const std::vector<SweepEntry> &sweep, double mean_err,
-                 double max_err)
-{
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "cannot open " << path << " for writing\n";
-        std::exit(1);
+    RecordFields
+    fields() const
+    {
+        return {{"host_traffic_intensity", intensity},
+                {"total_s", total_s},
+                {"slowdown", slowdown}};
     }
-    out << "{\n  \"schema\": \"pimdl.bench.backend.v1\",\n"
-        << "  \"bound\": " << obs::jsonNumber(kErrorBound) << ",\n"
-        << "  \"mean_rel_err\": " << obs::jsonNumber(mean_err) << ",\n"
-        << "  \"max_rel_err\": " << obs::jsonNumber(max_err) << ",\n"
-        << "  \"entries\": [\n";
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        const XvalEntry &e = entries[i];
-        out << "    {\"model\": " << obs::jsonString(e.model)
-            << ", \"analytical_s\": " << obs::jsonNumber(e.analytical_s)
-            << ", \"transaction_s\": " << obs::jsonNumber(e.transaction_s)
-            << ", \"err_ccs\": " << obs::jsonNumber(e.err_ccs)
-            << ", \"err_lut\": " << obs::jsonNumber(e.err_lut)
-            << ", \"err_attention\": " << obs::jsonNumber(e.err_attention)
-            << ", \"err_other\": " << obs::jsonNumber(e.err_other)
-            << ", \"err_total\": " << obs::jsonNumber(e.err_total) << "}"
-            << (i + 1 < entries.size() ? "," : "") << "\n";
-    }
-    out << "  ],\n  \"arbitration_sweep\": [\n";
-    for (std::size_t i = 0; i < sweep.size(); ++i) {
-        out << "    {\"host_traffic_intensity\": "
-            << obs::jsonNumber(sweep[i].intensity)
-            << ", \"total_s\": " << obs::jsonNumber(sweep[i].total_s)
-            << ", \"slowdown\": " << obs::jsonNumber(sweep[i].slowdown)
-            << "}" << (i + 1 < sweep.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    std::cerr << "[bench] backend xval results written to " << path
-              << "\n";
-}
+};
 
 } // namespace
 
@@ -212,9 +191,9 @@ main(int argc, char **argv)
               << TablePrinter::fmt(kErrorBound * 100.0, 0) << "%\n";
 
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    reg.gauge("backend.xval.mean_rel_err").set(mean_err);
-    reg.gauge("backend.xval.max_rel_err").set(max_err);
-    reg.gauge("backend.xval.bound").set(kErrorBound);
+    reg.gauge(Metric::BackendXvalMeanRelErr).set(mean_err);
+    reg.gauge(Metric::BackendXvalMaxRelErr).set(max_err);
+    reg.gauge(Metric::BackendXvalBound).set(kErrorBound);
 
     // Section 2: co-located host traffic arbitration sweep (BERT-base).
     printBanner(std::cout,
@@ -271,8 +250,16 @@ main(int argc, char **argv)
                   << "%\n";
     }
 
-    if (!json_out.empty())
-        writeBackendJson(json_out, entries, sweep, mean_err, max_err);
+    if (!json_out.empty()) {
+        writeBenchRecord(json_out, "pimdl.bench.backend.v1",
+                         {{"bound", kErrorBound},
+                          {"mean_rel_err", mean_err},
+                          {"max_rel_err", max_err}},
+                         {{"entries", recordRows(entries)},
+                          {"arbitration_sweep", recordRows(sweep)}});
+        std::cerr << "[bench] backend xval results written to "
+                  << json_out << "\n";
+    }
     writeBenchArtifacts(opts);
 
     if (mean_err >= kErrorBound) {

@@ -35,7 +35,6 @@
  */
 
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -44,7 +43,6 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "fault/chaos.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
 #include "runtime/engine.h"
 #include "runtime/serving.h"
@@ -52,6 +50,7 @@
 
 using namespace pimdl;
 using namespace pimdl::bench;
+using obs::Metric;
 
 namespace {
 
@@ -77,51 +76,37 @@ struct ChaosEntry
     std::size_t chaos_slow = 0;
     std::size_t chaos_heartbeat_losses = 0;
     bool conserved = false;
+
+    RecordFields
+    fields() const
+    {
+        return {{"level", level},
+                {"scale", scale},
+                {"submitted", submitted},
+                {"admitted", admitted},
+                {"completed", completed},
+                {"timed_out", timed_out},
+                {"shed", shed},
+                {"failed", failed},
+                {"goodput_frac", goodput_frac},
+                {"watchdog_hangs", watchdog_hangs},
+                {"bisections", bisections},
+                {"poison_isolated", poison_isolated},
+                {"breaker_opens", breaker_opens},
+                {"chaos_stalls", chaos_stalls},
+                {"chaos_exceptions", chaos_exceptions},
+                {"chaos_slow", chaos_slow},
+                {"chaos_heartbeat_losses", chaos_heartbeat_losses},
+                {"conserved", conserved}};
+    }
 };
 
-void
-writeChaosJson(const std::string &path,
-               const std::vector<ChaosEntry> &entries)
-{
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "cannot open " << path << " for writing\n";
-        std::exit(1);
-    }
-    out << "{\n  \"schema\": \"pimdl.bench.chaos.v1\",\n"
-        << "  \"entries\": [\n";
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        const ChaosEntry &e = entries[i];
-        out << "    {\"level\": " << e.level
-            << ", \"scale\": " << obs::jsonNumber(e.scale)
-            << ", \"submitted\": " << e.submitted
-            << ", \"admitted\": " << e.admitted
-            << ", \"completed\": " << e.completed
-            << ", \"timed_out\": " << e.timed_out
-            << ", \"shed\": " << e.shed << ", \"failed\": " << e.failed
-            << ", \"goodput_frac\": " << obs::jsonNumber(e.goodput_frac)
-            << ", \"watchdog_hangs\": " << e.watchdog_hangs
-            << ", \"bisections\": " << e.bisections
-            << ", \"poison_isolated\": " << e.poison_isolated
-            << ", \"breaker_opens\": " << e.breaker_opens
-            << ", \"chaos_stalls\": " << e.chaos_stalls
-            << ", \"chaos_exceptions\": " << e.chaos_exceptions
-            << ", \"chaos_slow\": " << e.chaos_slow
-            << ", \"chaos_heartbeat_losses\": "
-            << e.chaos_heartbeat_losses
-            << ", \"conserved\": " << (e.conserved ? "true" : "false")
-            << "}" << (i + 1 < entries.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    std::cerr << "[bench] chaos results written to " << path << "\n";
-}
-
-/** Reads a process-global chaos counter (0 when never registered). */
+/** Reads a process-global counter (0 when never registered). */
 std::size_t
-chaosCount(const char *name)
+chaosCount(Metric metric)
 {
     return static_cast<std::size_t>(
-        obs::MetricsRegistry::instance().counter(name).value());
+        obs::MetricsRegistry::instance().counter(metric).value());
 }
 
 } // namespace
@@ -304,17 +289,12 @@ main(int argc, char **argv)
 
         // Chaos counters are process-global and cumulative: take the
         // per-level delta around the run.
-        const std::size_t stalls0 = chaosCount("chaos.worker_stalls");
-        const std::size_t excs0 = chaosCount("chaos.exceptions");
-        const std::size_t slow0 = chaosCount("chaos.slow_batches");
-        const std::size_t hb0 = chaosCount("chaos.heartbeat_losses");
+        const std::size_t stalls0 = chaosCount(Metric::ChaosWorkerStalls);
+        const std::size_t excs0 = chaosCount(Metric::ChaosExceptions);
+        const std::size_t slow0 = chaosCount(Metric::ChaosSlowBatches);
+        const std::size_t hb0 = chaosCount(Metric::ChaosHeartbeatLosses);
 
-        const std::size_t opens0 = [] {
-            return static_cast<std::size_t>(
-                obs::MetricsRegistry::instance()
-                    .counter("serving.live.breaker.opens")
-                    .value());
-        }();
+        const std::size_t opens0 = chaosCount(Metric::LiveBreakerOpens);
 
         LiveServingRuntime runtime(
             live_cfg, executor, nullptr,
@@ -346,11 +326,11 @@ main(int argc, char **argv)
         e.poison_isolated = s.poison_isolated;
         e.breaker_opens = s.breaker_opens - std::min(s.breaker_opens,
                                                      opens0);
-        e.chaos_stalls = chaosCount("chaos.worker_stalls") - stalls0;
-        e.chaos_exceptions = chaosCount("chaos.exceptions") - excs0;
-        e.chaos_slow = chaosCount("chaos.slow_batches") - slow0;
+        e.chaos_stalls = chaosCount(Metric::ChaosWorkerStalls) - stalls0;
+        e.chaos_exceptions = chaosCount(Metric::ChaosExceptions) - excs0;
+        e.chaos_slow = chaosCount(Metric::ChaosSlowBatches) - slow0;
         e.chaos_heartbeat_losses =
-            chaosCount("chaos.heartbeat_losses") - hb0;
+            chaosCount(Metric::ChaosHeartbeatLosses) - hb0;
 
         // Invariant 1: conservation. Every admitted request resolved
         // to exactly one terminal outcome.
@@ -418,8 +398,12 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
 
-    if (!json_path.empty())
-        writeChaosJson(json_path, entries);
+    if (!json_path.empty()) {
+        writeBenchRecord(json_path, "pimdl.bench.chaos.v1", {},
+                         {{"entries", recordRows(entries)}});
+        std::cerr << "[bench] chaos results written to " << json_path
+                  << "\n";
+    }
     writeBenchArtifacts(opts);
 
     if (violated) {

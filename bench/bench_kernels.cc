@@ -19,7 +19,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <limits>
 #include <string>
@@ -29,7 +28,6 @@
 #include "common/rng.h"
 #include "kernels/kernels.h"
 #include "lutnn/converter.h"
-#include "obs/json.h"
 #include "runtime/lut_executor.h"
 #include "tensor/gemm.h"
 
@@ -181,6 +179,18 @@ struct BenchEntry
     double gb_per_s = 0.0;
     double gops = 0.0;
     double speedup_vs_scalar = 1.0;
+
+    bench::RecordFields
+    fields() const
+    {
+        return {{"kernel", kernel},
+                {"impl", impl},
+                {"shape", shape},
+                {"ns_per_op", ns_per_op},
+                {"gb_per_s", gb_per_s},
+                {"gops", gops},
+                {"speedup_vs_scalar", speedup_vs_scalar}};
+    }
 };
 
 using Clock = std::chrono::steady_clock;
@@ -449,27 +459,8 @@ runJsonHarness(const std::string &path)
     benchAxpy(entries, 768);
     benchAxpy(entries, 3072);
 
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     path.c_str());
-        return 1;
-    }
-    out << "{\n  \"schema\": \"pimdl.bench.kernels.v1\",\n"
-        << "  \"entries\": [\n";
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        const BenchEntry &e = entries[i];
-        out << "    {\"kernel\": " << obs::jsonString(e.kernel)
-            << ", \"impl\": " << obs::jsonString(e.impl)
-            << ", \"shape\": " << obs::jsonString(e.shape)
-            << ", \"ns_per_op\": " << obs::jsonNumber(e.ns_per_op)
-            << ", \"gb_per_s\": " << obs::jsonNumber(e.gb_per_s)
-            << ", \"gops\": " << obs::jsonNumber(e.gops)
-            << ", \"speedup_vs_scalar\": "
-            << obs::jsonNumber(e.speedup_vs_scalar) << "}"
-            << (i + 1 < entries.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
+    bench::writeBenchRecord(path, "pimdl.bench.kernels.v1", {},
+                            {{"entries", bench::recordRows(entries)}});
     std::printf("wrote %zu entries to %s\n", entries.size(),
                 path.c_str());
     return 0;

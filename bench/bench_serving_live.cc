@@ -26,7 +26,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <thread>
@@ -36,7 +35,6 @@
 #include "common/clock.h"
 #include "common/rng.h"
 #include "common/table.h"
-#include "obs/json.h"
 #include "runtime/engine.h"
 #include "runtime/serving.h"
 #include "runtime/serving_live.h"
@@ -63,39 +61,24 @@ struct ServingEntry
     double goodput_frac = 0.0;
     double shed_frac = 0.0;
     double analytical_err_frac = 0.0;
-};
 
-void
-writeServingJson(const std::string &path,
-                 const std::vector<ServingEntry> &entries)
-{
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "cannot open " << path << " for writing\n";
-        std::exit(1);
+    RecordFields
+    fields() const
+    {
+        return {{"scenario", scenario},
+                {"workers", workers},
+                {"requests", requests},
+                {"offered_rps", offered_rps},
+                {"mean_ms", mean_ms},
+                {"p50_ms", p50_ms},
+                {"p95_ms", p95_ms},
+                {"p99_ms", p99_ms},
+                {"goodput_rps", goodput_rps},
+                {"goodput_frac", goodput_frac},
+                {"shed_frac", shed_frac},
+                {"analytical_err_frac", analytical_err_frac}};
     }
-    out << "{\n  \"schema\": \"pimdl.bench.serving.v1\",\n"
-        << "  \"entries\": [\n";
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        const ServingEntry &e = entries[i];
-        out << "    {\"scenario\": " << obs::jsonString(e.scenario)
-            << ", \"workers\": " << e.workers
-            << ", \"requests\": " << e.requests
-            << ", \"offered_rps\": " << obs::jsonNumber(e.offered_rps)
-            << ", \"mean_ms\": " << obs::jsonNumber(e.mean_ms)
-            << ", \"p50_ms\": " << obs::jsonNumber(e.p50_ms)
-            << ", \"p95_ms\": " << obs::jsonNumber(e.p95_ms)
-            << ", \"p99_ms\": " << obs::jsonNumber(e.p99_ms)
-            << ", \"goodput_rps\": " << obs::jsonNumber(e.goodput_rps)
-            << ", \"goodput_frac\": " << obs::jsonNumber(e.goodput_frac)
-            << ", \"shed_frac\": " << obs::jsonNumber(e.shed_frac)
-            << ", \"analytical_err_frac\": "
-            << obs::jsonNumber(e.analytical_err_frac) << "}"
-            << (i + 1 < entries.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    std::cerr << "[bench] serving results written to " << path << "\n";
-}
+};
 
 double
 median3(double a, double b, double c)
@@ -519,8 +502,12 @@ main(int argc, char **argv)
         }
     }
 
-    if (!json_path.empty())
-        writeServingJson(json_path, entries);
+    if (!json_path.empty()) {
+        writeBenchRecord(json_path, "pimdl.bench.serving.v1", {},
+                         {{"entries", recordRows(entries)}});
+        std::cerr << "[bench] serving results written to " << json_path
+                  << "\n";
+    }
     writeBenchArtifacts(opts);
 
     if (worst_goodput_frac < 0.5) {

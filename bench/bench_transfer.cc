@@ -28,7 +28,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -40,7 +39,6 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "lutnn/converter.h"
-#include "obs/json.h"
 #include "plan/lowering.h"
 #include "runtime/engine.h"
 #include "runtime/lut_executor.h"
@@ -59,27 +57,13 @@ struct TransferEntry
 {
     std::string entry;
     double value = 0.0;
-};
 
-void
-writeTransferJson(const std::string &path,
-                  const std::vector<TransferEntry> &entries)
-{
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "cannot open " << path << " for writing\n";
-        std::exit(1);
+    RecordFields
+    fields() const
+    {
+        return {{"entry", entry}, {"value", value}};
     }
-    out << "{\n  \"schema\": \"pimdl.bench.transfer.v1\",\n"
-        << "  \"entries\": [\n";
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        out << "    {\"entry\": " << obs::jsonString(entries[i].entry)
-            << ", \"value\": " << obs::jsonNumber(entries[i].value)
-            << "}" << (i + 1 < entries.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    std::cerr << "[bench] transfer results written to " << path << "\n";
-}
+};
 
 LutLayer
 makeLayerNoBias(std::size_t h, std::size_t f, std::size_t v,
@@ -369,7 +353,8 @@ main(int argc, char **argv)
     entries.push_back({"overlap_frac", overlap_frac});
 
     // One synchronous faulted round: the per-burst stall/corrupt draws
-    // (streams 301+) with deterministic, modeled-seconds penalties.
+    // (DrawStream::TransferBurst*) with deterministic, modeled-seconds
+    // penalties.
     FaultConfig fault_cfg;
     fault_cfg.seed = 2026;
     fault_cfg.transfer_corrupt_rate = 0.35;
@@ -505,8 +490,12 @@ main(int argc, char **argv)
     }
     entries.push_back({"end2end_speedup", end2end_speedup});
 
-    if (!json_path.empty())
-        writeTransferJson(json_path, entries);
+    if (!json_path.empty()) {
+        writeBenchRecord(json_path, "pimdl.bench.transfer.v1", {},
+                         {{"entries", recordRows(entries)}});
+        std::cerr << "[bench] transfer results written to " << json_path
+                  << "\n";
+    }
     writeBenchArtifacts(opts);
     return 0;
 }

@@ -11,12 +11,15 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "backend/backend.h"
+#include "obs/json.h"
 #include "obs/snapshot.h"
 #include "plan/schedule.h"
 #include "verify/verify.h"
@@ -213,6 +216,68 @@ parseBenchArgs(int argc, char **argv,
         }
     }
     return opts;
+}
+
+/** One JSON value of a bench record, rendered when constructed. */
+struct RecordValue
+{
+    RecordValue(double v) : json(obs::jsonNumber(v)) {}
+    RecordValue(std::size_t v) : json(std::to_string(v)) {}
+    RecordValue(bool v) : json(v ? "true" : "false") {}
+    RecordValue(const std::string &v) : json(obs::jsonString(v)) {}
+    RecordValue(const char *v) : json(obs::jsonString(v)) {}
+
+    std::string json;
+};
+
+/** Ordered key/value pairs: a record's top-level scalars or a row. */
+using RecordFields = std::vector<std::pair<std::string, RecordValue>>;
+
+/** A named array of rows. */
+using RecordArray = std::pair<std::string, std::vector<RecordFields>>;
+
+/** The rows of @p entries, each rendered by its fields() member. */
+template <typename Entry>
+std::vector<RecordFields>
+recordRows(const std::vector<Entry> &entries)
+{
+    std::vector<RecordFields> rows;
+    rows.reserve(entries.size());
+    for (const Entry &e : entries)
+        rows.push_back(e.fields());
+    return rows;
+}
+
+/**
+ * Writes a BENCH_*.json record to @p path: the schema id, then
+ * @p scalars, then each array of @p arrays, keys in the given order,
+ * one scalar or row per line. Exits 1 when the file cannot be opened.
+ */
+inline void
+writeBenchRecord(const std::string &path, const std::string &schema,
+                 const RecordFields &scalars,
+                 const std::vector<RecordArray> &arrays)
+{
+    std::ofstream out(path);
+    if (!out) {
+        std::cerr << "cannot open " << path << " for writing\n";
+        std::exit(1);
+    }
+    out << "{\n  \"schema\": " << obs::jsonString(schema);
+    for (const auto &[key, value] : scalars)
+        out << ",\n  " << obs::jsonString(key) << ": " << value.json;
+    for (const auto &[name, rows] : arrays) {
+        out << ",\n  " << obs::jsonString(name) << ": [\n";
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            out << "    {";
+            for (std::size_t k = 0; k < rows[i].size(); ++k)
+                out << (k ? ", " : "") << obs::jsonString(rows[i][k].first)
+                    << ": " << rows[i][k].second.json;
+            out << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+        }
+        out << "  ]";
+    }
+    out << "\n}\n";
 }
 
 /** Emits the requested metrics/trace artifacts at the end of a run. */

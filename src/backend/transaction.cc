@@ -11,6 +11,8 @@
 
 namespace pimdl {
 
+using obs::Metric;
+
 namespace {
 
 constexpr std::size_t kNumCommandKinds = 11;
@@ -507,13 +509,13 @@ TransactionBackend::publishNodeMetrics(const char *node_kind,
 {
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
     static obs::Counter &issued =
-        reg.counter("backend.txn.commands_issued");
+        reg.counter(Metric::BackendTxnCommandsIssued);
     static obs::Counter &conflicts =
-        reg.counter("backend.txn.bank_conflicts");
+        reg.counter(Metric::BackendTxnBankConflicts);
     static obs::Counter &switches =
-        reg.counter("backend.txn.mode_switches");
+        reg.counter(Metric::BackendTxnModeSwitches);
     static obs::Counter &suppressed =
-        reg.counter("backend.txn.trace_suppressed");
+        reg.counter(Metric::BackendTxnTraceSuppressed);
     issued.add(report.commands_issued);
     conflicts.add(report.bank_conflicts);
     switches.add(report.mode_switches);

@@ -13,15 +13,15 @@ const char *
 levelName(LogLevel level)
 {
     switch (level) {
-      case LogLevel::Debug:
+    case LogLevel::Debug:
         return "DEBUG";
-      case LogLevel::Info:
+    case LogLevel::Info:
         return "INFO";
-      case LogLevel::Warn:
+    case LogLevel::Warn:
         return "WARN";
-      case LogLevel::Error:
+    case LogLevel::Error:
         return "ERROR";
-      case LogLevel::Off:
+    case LogLevel::Off:
         return "OFF";
     }
     return "?";

@@ -11,6 +11,8 @@
 
 namespace pimdl {
 
+using obs::Metric;
+
 namespace {
 
 double
@@ -54,7 +56,8 @@ parallelWorkerCount()
 }
 
 void
-parallelFor(std::size_t count, const std::function<void(std::size_t)> &body)
+parallelFor(std::size_t count,
+            const std::function<void(std::size_t)> &body)
 {
     parallelForBlocked(count, 1,
                        [&body](std::size_t begin, std::size_t end) {
@@ -64,8 +67,9 @@ parallelFor(std::size_t count, const std::function<void(std::size_t)> &body)
 }
 
 void
-parallelForBlocked(std::size_t count, std::size_t grain,
-                   const std::function<void(std::size_t, std::size_t)> &body)
+parallelForBlocked(
+    std::size_t count, std::size_t grain,
+    const std::function<void(std::size_t, std::size_t)> &body)
 {
     if (count == 0)
         return;
@@ -73,15 +77,12 @@ parallelForBlocked(std::size_t count, std::size_t grain,
         grain = 1;
 
     // Cached metric references: the registry never invalidates them.
-    static obs::Counter &calls =
-        obs::MetricsRegistry::instance().counter("parallel.calls");
-    static obs::Counter &items =
-        obs::MetricsRegistry::instance().counter("parallel.items");
-    static obs::Gauge &worker_gauge =
-        obs::MetricsRegistry::instance().gauge("parallel.workers");
+    obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
+    static obs::Counter &calls = reg.counter(Metric::ParallelCalls);
+    static obs::Counter &items = reg.counter(Metric::ParallelItems);
+    static obs::Gauge &worker_gauge = reg.gauge(Metric::ParallelWorkers);
     static obs::Histogram &utilization =
-        obs::MetricsRegistry::instance().histogram(
-            "parallel.worker_utilization");
+        reg.histogram(Metric::ParallelWorkerUtilization);
 
     calls.add();
     items.add(count);

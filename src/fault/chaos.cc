@@ -8,6 +8,8 @@
 
 namespace pimdl {
 
+using obs::Metric;
+
 namespace {
 
 void
@@ -38,10 +40,10 @@ ChaosInjector::ChaosInjector(ChaosConfig config)
 {
     config_.validate();
     auto &reg = obs::MetricsRegistry::instance();
-    stalls_ = &reg.counter("chaos.worker_stalls");
-    exceptions_ = &reg.counter("chaos.exceptions");
-    slow_batches_ = &reg.counter("chaos.slow_batches");
-    heartbeat_losses_ = &reg.counter("chaos.heartbeat_losses");
+    stalls_ = &reg.counter(Metric::ChaosWorkerStalls);
+    exceptions_ = &reg.counter(Metric::ChaosExceptions);
+    slow_batches_ = &reg.counter(Metric::ChaosSlowBatches);
+    heartbeat_losses_ = &reg.counter(Metric::ChaosHeartbeatLosses);
 }
 
 double
@@ -50,7 +52,7 @@ ChaosInjector::stallSeconds(std::uint64_t batch,
 {
     if (config_.worker_stall_rate <= 0.0)
         return 0.0;
-    if (faultHashUniform(config_.seed, kChaosWorkerStallStream, batch,
+    if (faultHashUniform(config_.seed, DrawStream::ChaosWorkerStall, batch,
                          attempt) >= config_.worker_stall_rate)
         return 0.0;
     stalls_->add();
@@ -65,7 +67,7 @@ ChaosInjector::injectException(std::uint64_t batch, std::uint64_t attempt,
         return false;
     if (degraded && config_.exceptions_primary_only)
         return false;
-    if (faultHashUniform(config_.seed, kChaosExceptionStream, batch,
+    if (faultHashUniform(config_.seed, DrawStream::ChaosException, batch,
                          attempt) >= config_.exception_rate)
         return false;
     exceptions_->add();
@@ -78,8 +80,8 @@ ChaosInjector::slowExtraSeconds(std::uint64_t batch,
 {
     if (config_.slow_rate <= 0.0)
         return 0.0;
-    if (faultHashUniform(config_.seed, kChaosSlowStream, batch, attempt) >=
-        config_.slow_rate)
+    if (faultHashUniform(config_.seed, DrawStream::ChaosSlow, batch,
+                         attempt) >= config_.slow_rate)
         return 0.0;
     slow_batches_->add();
     return config_.slow_extra_s;
@@ -91,7 +93,7 @@ ChaosInjector::dropHeartbeat(std::uint64_t worker,
 {
     if (config_.heartbeat_loss_rate <= 0.0)
         return false;
-    if (faultHashUniform(config_.seed, kChaosHeartbeatStream, worker,
+    if (faultHashUniform(config_.seed, DrawStream::ChaosHeartbeat, worker,
                          batch) >= config_.heartbeat_loss_rate)
         return false;
     heartbeat_losses_->add();

@@ -31,14 +31,6 @@
 
 namespace pimdl {
 
-/** Draw streams of the chaos events. fault.h owns streams 1-6 and the
- * serving batch stream 101; chaos uses 201+ so the two injectors never
- * correlate. */
-inline constexpr std::uint64_t kChaosWorkerStallStream = 201;
-inline constexpr std::uint64_t kChaosExceptionStream = 202;
-inline constexpr std::uint64_t kChaosSlowStream = 203;
-inline constexpr std::uint64_t kChaosHeartbeatStream = 204;
-
 /** Rates and magnitudes of the injectable chaos events. */
 struct ChaosConfig
 {

@@ -8,17 +8,6 @@ namespace pimdl {
 
 namespace {
 
-/** Per-event hash stream ids (never reuse a value). */
-enum Stream : std::uint64_t
-{
-    kStreamHardFail = 1,
-    kStreamTransient = 2,
-    kStreamBitFlip = 3,
-    kStreamTransferCorrupt = 4,
-    kStreamTransferStall = 5,
-    kStreamCorruptionTarget = 6,
-};
-
 /** splitmix64 finalizer: the standard 64-bit avalanche mix. */
 std::uint64_t
 mix64(std::uint64_t x)
@@ -30,11 +19,11 @@ mix64(std::uint64_t x)
 }
 
 std::uint64_t
-hashKeys(std::uint64_t seed, std::uint64_t stream, std::uint64_t a,
+hashKeys(std::uint64_t seed, DrawStream stream, std::uint64_t a,
          std::uint64_t b)
 {
     std::uint64_t h = mix64(seed);
-    h = mix64(h ^ stream);
+    h = mix64(h ^ static_cast<std::uint64_t>(stream));
     h = mix64(h ^ a);
     h = mix64(h ^ b);
     return h;
@@ -100,7 +89,7 @@ RetryPolicy::validate() const
 }
 
 double
-faultHashUniform(std::uint64_t seed, std::uint64_t stream, std::uint64_t a,
+faultHashUniform(std::uint64_t seed, DrawStream stream, std::uint64_t a,
                  std::uint64_t b)
 {
     // 53 high-quality bits -> [0, 1) with full double precision.
@@ -135,7 +124,7 @@ FaultInjector::peHardFailed(std::size_t pe) const
     }
     if (config_.pe_hard_fail_rate <= 0.0)
         return false;
-    return faultHashUniform(config_.seed, kStreamHardFail, pe, 0) <
+    return faultHashUniform(config_.seed, DrawStream::PeHardFail, pe, 0) <
            config_.pe_hard_fail_rate;
 }
 
@@ -145,7 +134,7 @@ FaultInjector::transientCrash(std::uint64_t epoch, std::size_t pe,
 {
     if (config_.pe_transient_rate <= 0.0)
         return false;
-    return faultHashUniform(config_.seed, kStreamTransient,
+    return faultHashUniform(config_.seed, DrawStream::PeTransient,
                             epoch * 0x10001ULL + attempt, pe) <
            config_.pe_transient_rate;
 }
@@ -156,7 +145,7 @@ FaultInjector::lutBitFlip(std::uint64_t epoch, std::size_t pe,
 {
     if (config_.lut_bitflip_rate <= 0.0)
         return false;
-    return faultHashUniform(config_.seed, kStreamBitFlip,
+    return faultHashUniform(config_.seed, DrawStream::LutBitFlip,
                             epoch * 0x10001ULL + attempt, pe) <
            config_.lut_bitflip_rate;
 }
@@ -167,7 +156,7 @@ FaultInjector::transferCorrupt(std::uint64_t epoch, std::size_t pe,
 {
     if (config_.transfer_corrupt_rate <= 0.0)
         return false;
-    return faultHashUniform(config_.seed, kStreamTransferCorrupt,
+    return faultHashUniform(config_.seed, DrawStream::TransferCorrupt,
                             epoch * 0x10001ULL + attempt, pe) <
            config_.transfer_corrupt_rate;
 }
@@ -178,7 +167,7 @@ FaultInjector::transferStall(std::uint64_t epoch, std::size_t pe,
 {
     if (config_.transfer_stall_rate <= 0.0)
         return false;
-    return faultHashUniform(config_.seed, kStreamTransferStall,
+    return faultHashUniform(config_.seed, DrawStream::TransferStall,
                             epoch * 0x10001ULL + attempt, pe) <
            config_.transfer_stall_rate;
 }
@@ -190,7 +179,7 @@ FaultInjector::corruptionTarget(std::uint64_t epoch, std::size_t pe,
 {
     PIMDL_REQUIRE(slots > 0, "corruption target needs a non-empty tile");
     const std::uint64_t h =
-        hashKeys(config_.seed, kStreamCorruptionTarget,
+        hashKeys(config_.seed, DrawStream::CorruptionTarget,
                  epoch * 0x10001ULL + attempt, pe);
     return static_cast<std::size_t>(h % slots);
 }

@@ -88,14 +88,6 @@ struct FaultConfig
  */
 double cappedBackoff(double base_s, double cap_s, std::size_t retry);
 
-/**
- * Draw stream of the serving layer's per-batch fault outcomes. Shared
- * by the analytical serving simulator and the live serving runtime so
- * a fixed fault profile injects the same batch-indexed fault sequence
- * into both — a precondition for cross-validating their goodput.
- */
-inline constexpr std::uint64_t kServingBatchFaultStream = 101;
-
 /** Capped exponential backoff for retried kernel attempts. */
 struct RetryPolicy
 {
@@ -151,12 +143,102 @@ struct FaultReport
     }
 };
 
+/** Inclusive id block of one subsystem's draw streams. */
+struct DrawBlock
+{
+    std::uint64_t lo;
+    std::uint64_t hi;
+};
+
+inline constexpr DrawBlock kFaultDraws{1, 199};
+inline constexpr DrawBlock kChaosDraws{201, 299};
+inline constexpr DrawBlock kTransferDraws{301, 399};
+
+// X(identifier, id, block). Two streams sharing an id would correlate
+// two supposedly independent fault processes; each subsystem draws
+// from its own block so a new one claims a block instead of the next
+// free integer.
+// clang-format off
+#define PIMDL_DRAW_STREAMS(X)                                             \
+    /* FaultInjector's per-PE event ladder. */                            \
+    X(PeHardFail, 1, kFaultDraws)                                         \
+    X(PeTransient, 2, kFaultDraws)                                        \
+    X(LutBitFlip, 3, kFaultDraws)                                         \
+    X(TransferCorrupt, 4, kFaultDraws)                                    \
+    X(TransferStall, 5, kFaultDraws)                                      \
+    X(CorruptionTarget, 6, kFaultDraws)                                   \
+    /* Per-batch serving fault outcomes, shared by the analytical */      \
+    /* serving simulator and the live runtime so one fault profile */     \
+    /* injects the same batch-indexed sequence into both. */              \
+    X(ServingBatchFault, 101, kFaultDraws)                                \
+    /* ChaosInjector (fault/chaos.h). */                                  \
+    X(ChaosWorkerStall, 201, kChaosDraws)                                 \
+    X(ChaosException, 202, kChaosDraws)                                   \
+    X(ChaosSlow, 203, kChaosDraws)                                        \
+    X(ChaosHeartbeat, 204, kChaosDraws)                                   \
+    /* Per-burst faults of the transfer scheduler. */                     \
+    X(TransferBurstCorrupt, 301, kTransferDraws)                          \
+    X(TransferBurstStall, 302, kTransferDraws)                            \
+    X(TransferBurstTarget, 303, kTransferDraws)
+// clang-format on
+
+/** Every deterministic draw stream in the tree. */
+enum class DrawStream : std::uint64_t
+{
+#define PIMDL_DRAW_STREAM_ID(id, value, block) id = value,
+    PIMDL_DRAW_STREAMS(PIMDL_DRAW_STREAM_ID)
+#undef PIMDL_DRAW_STREAM_ID
+};
+
+namespace detail {
+
+struct DrawStreamDecl
+{
+    std::uint64_t value;
+    DrawBlock block;
+};
+
+inline constexpr DrawStreamDecl kDrawStreamDecls[] = {
+#define PIMDL_DRAW_STREAM_DECL(id, value, block) {value, block},
+    PIMDL_DRAW_STREAMS(PIMDL_DRAW_STREAM_DECL)
+#undef PIMDL_DRAW_STREAM_DECL
+};
+
+constexpr bool
+drawStreamIdsUnique()
+{
+    for (const DrawStreamDecl &a : kDrawStreamDecls) {
+        int same = 0;
+        for (const DrawStreamDecl &b : kDrawStreamDecls)
+            same += a.value == b.value;
+        if (same != 1)
+            return false;
+    }
+    return true;
+}
+
+constexpr bool
+drawStreamIdsInBlock()
+{
+    for (const DrawStreamDecl &d : kDrawStreamDecls)
+        if (d.value < d.block.lo || d.value > d.block.hi)
+            return false;
+    return true;
+}
+
+} // namespace detail
+
+static_assert(detail::drawStreamIdsUnique(),
+              "two draw streams share an id");
+static_assert(detail::drawStreamIdsInBlock(),
+              "a draw stream id lies outside its subsystem's block");
+
 /**
  * Uniform [0, 1) draw from a stateless counter-based hash (splitmix64
  * finalizer over the keys). Exposed so other layers (the serving
  * simulator's per-batch outcomes) share the same determinism contract.
  */
-double faultHashUniform(std::uint64_t seed, std::uint64_t stream,
+double faultHashUniform(std::uint64_t seed, DrawStream stream,
                         std::uint64_t a, std::uint64_t b);
 
 /** FNV-1a checksum of a byte range (the simulated output-tile CRC). */

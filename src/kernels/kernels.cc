@@ -10,6 +10,8 @@
 namespace pimdl {
 namespace kernels {
 
+using obs::Metric;
+
 namespace detail {
 
 std::size_t
@@ -136,7 +138,7 @@ void
 publishImplGauge(const KernelTable &table)
 {
     static obs::Gauge &gauge =
-        obs::MetricsRegistry::instance().gauge("kernels.impl");
+        obs::MetricsRegistry::instance().gauge(Metric::KernelsImpl);
     gauge.set(static_cast<double>(table.priority));
 }
 
@@ -211,9 +213,10 @@ recordCcsWork(std::size_t rows, std::size_t cb_count, std::size_t ct_count,
               std::size_t v_len)
 {
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    static obs::Counter &c_rows = reg.counter("kernels.ccs.rows");
-    static obs::Counter &c_subvecs = reg.counter("kernels.ccs.subvectors");
-    static obs::Counter &c_bytes = reg.counter("kernels.ccs.bytes");
+    static obs::Counter &c_rows = reg.counter(Metric::KernelsCcsRows);
+    static obs::Counter &c_subvecs =
+        reg.counter(Metric::KernelsCcsSubvectors);
+    static obs::Counter &c_bytes = reg.counter(Metric::KernelsCcsBytes);
     c_rows.add(rows);
     c_subvecs.add(rows * cb_count);
     // Streamed bytes: the input row plus every candidate centroid and
@@ -227,9 +230,9 @@ recordLutWork(std::size_t rows, std::size_t cb_count, std::size_t f_count,
               std::size_t elem_bytes)
 {
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    static obs::Counter &c_rows = reg.counter("kernels.lut.rows");
-    static obs::Counter &c_elems = reg.counter("kernels.lut.elements");
-    static obs::Counter &c_bytes = reg.counter("kernels.lut.bytes");
+    static obs::Counter &c_rows = reg.counter(Metric::KernelsLutRows);
+    static obs::Counter &c_elems = reg.counter(Metric::KernelsLutElements);
+    static obs::Counter &c_bytes = reg.counter(Metric::KernelsLutBytes);
     c_rows.add(rows);
     c_elems.add(rows * cb_count * f_count);
     c_bytes.add(rows * cb_count * f_count * elem_bytes);
@@ -239,8 +242,9 @@ void
 recordAxpyWork(std::size_t elements)
 {
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    static obs::Counter &c_elems = reg.counter("kernels.axpy.elements");
-    static obs::Counter &c_bytes = reg.counter("kernels.axpy.bytes");
+    static obs::Counter &c_elems =
+        reg.counter(Metric::KernelsAxpyElements);
+    static obs::Counter &c_bytes = reg.counter(Metric::KernelsAxpyBytes);
     c_elems.add(elements);
     c_bytes.add(elements * 2 * sizeof(float));
 }

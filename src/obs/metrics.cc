@@ -117,17 +117,49 @@ namespace {
 
 /** One name must keep one metric kind for the process lifetime. */
 void
-requireUnclaimed(const std::map<std::string, std::unique_ptr<Counter>> &a,
-                 const std::map<std::string, std::unique_ptr<Gauge>> &b,
-                 const std::map<std::string, std::unique_ptr<Histogram>> &c,
-                 const std::string &name)
+requireUnclaimed(
+    const std::map<std::string, std::unique_ptr<Counter>> &a,
+    const std::map<std::string, std::unique_ptr<Gauge>> &b,
+    const std::map<std::string, std::unique_ptr<Histogram>> &c,
+    const std::string &name)
 {
     if (a.count(name) || b.count(name) || c.count(name))
         throw std::logic_error("metric '" + name +
                                "' already registered with another kind");
 }
 
+/** The catalog's name for @p metric, which must be of @p kind. */
+std::string
+catalogName(Metric metric, MetricKind kind)
+{
+    const MetricInfo &info = metricInfo(metric);
+    if (info.kind != kind)
+        throw std::logic_error(std::string("metric '") + info.name +
+                               "' is declared a " +
+                               metricKindName(info.kind) + ", not a " +
+                               metricKindName(kind));
+    return info.name;
+}
+
 } // namespace
+
+Counter &
+MetricsRegistry::counter(Metric metric)
+{
+    return counter(catalogName(metric, MetricKind::Counter));
+}
+
+Gauge &
+MetricsRegistry::gauge(Metric metric)
+{
+    return gauge(catalogName(metric, MetricKind::Gauge));
+}
+
+Histogram &
+MetricsRegistry::histogram(Metric metric)
+{
+    return histogram(catalogName(metric, MetricKind::Histogram));
+}
 
 Counter &
 MetricsRegistry::counter(const std::string &name)
@@ -160,7 +192,8 @@ MetricsRegistry::histogram(const std::string &name)
     auto it = histograms_.find(name);
     if (it == histograms_.end()) {
         requireUnclaimed(counters_, gauges_, {}, name);
-        it = histograms_.emplace(name, std::make_unique<Histogram>()).first;
+        it = histograms_.emplace(name, std::make_unique<Histogram>())
+                 .first;
     }
     return *it->second;
 }

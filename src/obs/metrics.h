@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/thread_annotations.h"
+#include "obs/metric_catalog.h"
 
 namespace pimdl {
 namespace obs {
@@ -136,6 +137,11 @@ class Histogram
  * ("serving.request_latency_s"); the first lookup creates the metric,
  * later lookups return the same object. A name must keep one kind for
  * the process lifetime (looking it up as a different kind throws).
+ *
+ * Publish sites look metrics up by their catalog id
+ * (obs/metric_catalog.h); the Metric overloads throw std::logic_error
+ * when the catalog declares the id with another kind. The by-name
+ * overloads serve readers and ad-hoc names outside the catalog.
  */
 class MetricsRegistry
 {
@@ -145,6 +151,10 @@ class MetricsRegistry
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
     Histogram &histogram(const std::string &name);
+
+    Counter &counter(Metric metric);
+    Gauge &gauge(Metric metric);
+    Histogram &histogram(Metric metric);
 
     /** Sorted name/value views for exporters and tests. */
     std::vector<std::pair<std::string, std::uint64_t>> counters() const;

@@ -34,23 +34,23 @@ struct LockOrderMirror
         MutexLock lock(mu);
         MetricsRegistry &reg = MetricsRegistry::instance();
         const analysis::LockOrderStats now = analysis::lockOrderStats();
-        reg.counter("analysis.lockorder.acquisitions")
+        reg.counter(Metric::LockorderAcquisitions)
             .add(now.acquisitions - last.acquisitions);
-        reg.counter("analysis.lockorder.edges")
+        reg.counter(Metric::LockorderEdges)
             .add(now.edges_added - last.edges_added);
-        reg.counter("analysis.lockorder.cycles")
+        reg.counter(Metric::LockorderCycles)
             .add(now.cycles - last.cycles);
-        reg.counter("analysis.lockorder.self_lock")
+        reg.counter(Metric::LockorderSelfLock)
             .add(now.self_locks - last.self_locks);
-        reg.counter("analysis.lockorder.wait_while_holding")
+        reg.counter(Metric::LockorderWaitWhileHolding)
             .add(now.wait_while_holding - last.wait_while_holding);
-        reg.counter("analysis.lockorder.hold_budget_exceeded")
+        reg.counter(Metric::LockorderHoldBudgetExceeded)
             .add(now.hold_budget_exceeded - last.hold_budget_exceeded);
-        reg.gauge("analysis.lockorder.enabled")
+        reg.gauge(Metric::LockorderEnabled)
             .set(analysis::deadlockCheckEnabled() ? 1.0 : 0.0);
-        reg.gauge("analysis.lockorder.locks_live")
+        reg.gauge(Metric::LockorderLocksLive)
             .set(static_cast<double>(now.locks_live));
-        reg.gauge("analysis.lockorder.edges_live")
+        reg.gauge(Metric::LockorderEdgesLive)
             .set(static_cast<double>(now.edges_live));
         last = now;
     }
@@ -61,6 +61,34 @@ lockOrderMirror()
 {
     static LockOrderMirror mirror;
     return mirror;
+}
+
+/** Every mode but None, mapped to the names it requires by kind:
+ * {"base":{"counters":[...],"gauges":[...],"histograms":[...]},...}. */
+std::string
+catalogJson()
+{
+    std::ostringstream out;
+    for (int m = 0; m < static_cast<int>(RequireMode::None); ++m) {
+        const RequireMode mode = static_cast<RequireMode>(m);
+        out << (m ? "," : "") << jsonString(requireModeName(mode)) << ":";
+        const char *kind_sep = "{";
+        for (MetricKind kind : {MetricKind::Counter, MetricKind::Gauge,
+                                MetricKind::Histogram}) {
+            out << kind_sep << "\"" << metricKindName(kind) << "s\":[";
+            kind_sep = ",";
+            const char *name_sep = "";
+            for (const MetricInfo &info : kMetricCatalog) {
+                if (info.mode == mode && info.kind == kind) {
+                    out << name_sep << jsonString(info.name);
+                    name_sep = ",";
+                }
+            }
+            out << "]";
+        }
+        out << "}";
+    }
+    return "{" + out.str() + "}";
 }
 
 } // namespace
@@ -80,7 +108,8 @@ snapshotJson()
         << metrics.substr(1, metrics.size() - 2) << ",\"trace\":{"
         << "\"recorded\":" << tracer.recorded()
         << ",\"retained\":" << tracer.events().size()
-        << ",\"dropped\":" << tracer.dropped() << "}}";
+        << ",\"dropped\":" << tracer.dropped()
+        << "},\"catalog\":" << catalogJson() << "}";
     return out.str();
 }
 

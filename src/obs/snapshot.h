@@ -21,7 +21,11 @@ inline constexpr const char *kSnapshotSchema = "pimdl.metrics.v1";
  * Serializes the current process observability state:
  * {"schema":"pimdl.metrics.v1","counters":{...},"gauges":{...},
  *  "histograms":{name:{count,sum,min,max,mean,p50,p95,p99}},
- *  "trace":{"recorded":N,"retained":M,"dropped":D}}.
+ *  "trace":{"recorded":N,"retained":M,"dropped":D},
+ *  "catalog":{mode:{"counters":[...],"gauges":[...],
+ *             "histograms":[...]}}}.
+ * The catalog section lists the names each check_metrics.py mode
+ * requires (obs/metric_catalog.h).
  */
 std::string snapshotJson();
 

@@ -7,6 +7,8 @@
 
 namespace pimdl {
 
+using obs::Metric;
+
 namespace {
 
 /** Aggregates interpreter activity into the process metrics registry. */
@@ -14,10 +16,10 @@ void
 publishDpuRunStats(const DpuRunStats &stats)
 {
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    static obs::Counter &runs = reg.counter("dpu.kernel_runs");
-    static obs::Counter &instructions = reg.counter("dpu.instructions");
-    static obs::Counter &cycles = reg.counter("dpu.cycles");
-    static obs::Counter &dma_bytes = reg.counter("dpu.dma_bytes");
+    static obs::Counter &runs = reg.counter(Metric::DpuKernelRuns);
+    static obs::Counter &instructions = reg.counter(Metric::DpuInstructions);
+    static obs::Counter &cycles = reg.counter(Metric::DpuCycles);
+    static obs::Counter &dma_bytes = reg.counter(Metric::DpuDmaBytes);
     runs.add();
     instructions.add(stats.instructions);
     cycles.add(stats.cycles);

@@ -71,8 +71,9 @@ lowerTransformer(const TransformerConfig &model, const LutNnParams &params,
 
     auto lowerLinear = [&](std::size_t layer, const LinearWorkload &w) {
         if (mode == ExecutionMode::PimDl) {
-            PIMDL_REQUIRE(w.h % params.subvec_len == 0,
-                          "inner dim must divide by the sub-vector length");
+            PIMDL_REQUIRE(
+                w.h % params.subvec_len == 0,
+                "inner dim must divide by the sub-vector length");
             LutWorkloadShape shape;
             shape.n = w.n;
             shape.cb = w.h / params.subvec_len;
@@ -156,7 +157,8 @@ lowerTransformer(const TransformerConfig &model, const LutNnParams &params,
         }
     };
 
-    auto lowerElementwise = [&](std::size_t layer, ElementwiseOpKind kind) {
+    auto lowerElementwise = [&](std::size_t layer,
+                                ElementwiseOpKind kind) {
         PlanNode &ew = builder.append(
             PlanOpKind::Elementwise,
             ew_on_pim ? PlanDevice::Pim : PlanDevice::Host, layer);

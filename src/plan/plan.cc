@@ -8,11 +8,11 @@ const char *
 executionModeName(ExecutionMode mode)
 {
     switch (mode) {
-      case ExecutionMode::PimDl:
+    case ExecutionMode::PimDl:
         return "PIM-DL";
-      case ExecutionMode::PimGemm:
+    case ExecutionMode::PimGemm:
         return "PIM-GEMM";
-      case ExecutionMode::HostOnly:
+    case ExecutionMode::HostOnly:
         return "Host";
     }
     return "?";
@@ -22,11 +22,11 @@ const char *
 planDeviceName(PlanDevice device)
 {
     switch (device) {
-      case PlanDevice::Host:
+    case PlanDevice::Host:
         return "host";
-      case PlanDevice::Pim:
+    case PlanDevice::Pim:
         return "pim";
-      case PlanDevice::Link:
+    case PlanDevice::Link:
         return "link";
     }
     return "?";
@@ -36,17 +36,17 @@ const char *
 planOpKindName(PlanOpKind kind)
 {
     switch (kind) {
-      case PlanOpKind::Ccs:
+    case PlanOpKind::Ccs:
         return "ccs";
-      case PlanOpKind::LutOp:
+    case PlanOpKind::LutOp:
         return "lut";
-      case PlanOpKind::Gemm:
+    case PlanOpKind::Gemm:
         return "gemm";
-      case PlanOpKind::Attention:
+    case PlanOpKind::Attention:
         return "attention";
-      case PlanOpKind::Elementwise:
+    case PlanOpKind::Elementwise:
         return "elementwise";
-      case PlanOpKind::HostPimTransfer:
+    case PlanOpKind::HostPimTransfer:
         return "transfer";
     }
     return "?";

@@ -71,7 +71,9 @@ accumulate(const CostedPlan &costed)
                               node.kind == PlanOpKind::LutOp)) {
             auto it = std::find_if(
                 est.per_linear.begin(), est.per_linear.end(),
-                [&](const LinearLatency &l) { return l.role == node.role; });
+                [&](const LinearLatency &l) {
+                    return l.role == node.role;
+                });
             if (it == est.per_linear.end()) {
                 LinearLatency entry;
                 entry.role = node.role;

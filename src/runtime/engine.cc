@@ -1,5 +1,6 @@
 #include "engine.h"
 
+#include <stdexcept>
 #include <utility>
 
 #include "backend/analytical.h"
@@ -8,6 +9,8 @@
 #include "verify/verify.h"
 
 namespace pimdl {
+
+using obs::Metric;
 
 PimDlEngine::PimDlEngine(PimPlatformConfig platform,
                          HostProcessorConfig host,
@@ -36,6 +39,23 @@ hostDtypeLabel(HostDtype dtype)
     return "?";
 }
 
+/** The {ccs_s, lut_s} gauges of one linear role. */
+std::pair<Metric, Metric>
+roleGauges(LinearRole role)
+{
+    switch (role) {
+    case LinearRole::QkvProjection:
+        return {Metric::EngineRoleQkvCcsS, Metric::EngineRoleQkvLutS};
+    case LinearRole::OutProjection:
+        return {Metric::EngineRoleOCcsS, Metric::EngineRoleOLutS};
+    case LinearRole::Ffn1:
+        return {Metric::EngineRoleFfn1CcsS, Metric::EngineRoleFfn1LutS};
+    case LinearRole::Ffn2:
+        return {Metric::EngineRoleFfn2CcsS, Metric::EngineRoleFfn2LutS};
+    }
+    throw std::logic_error("unknown LinearRole");
+}
+
 /** Publishes the metrics the seed engine exported for PIM-DL runs. */
 void
 publishPimDlMetrics(const InferenceEstimate &est)
@@ -44,14 +64,14 @@ publishPimDlMetrics(const InferenceEstimate &est)
     // Per-LinearRole CCS/LUT split (the Figure 11-(b) breakdown),
     // published as gauges holding the most recent estimate.
     for (const LinearLatency &layer : est.per_linear) {
-        const std::string role = linearRoleName(layer.role);
-        reg.gauge("engine.role." + role + ".ccs_s").set(layer.ccs_s);
-        reg.gauge("engine.role." + role + ".lut_s").set(layer.lut_s);
+        const auto [ccs, lut] = roleGauges(layer.role);
+        reg.gauge(ccs).set(layer.ccs_s);
+        reg.gauge(lut).set(layer.lut_s);
     }
-    static obs::Counter &estimates = reg.counter("engine.estimates");
-    static obs::Histogram &h_ccs = reg.histogram("engine.ccs_s");
-    static obs::Histogram &h_lut = reg.histogram("engine.lut_s");
-    static obs::Histogram &h_total = reg.histogram("engine.total_s");
+    static obs::Counter &estimates = reg.counter(Metric::EngineEstimates);
+    static obs::Histogram &h_ccs = reg.histogram(Metric::EngineCcsS);
+    static obs::Histogram &h_lut = reg.histogram(Metric::EngineLutS);
+    static obs::Histogram &h_total = reg.histogram(Metric::EngineTotalS);
     estimates.add();
     h_ccs.record(est.ccs_s);
     h_lut.record(est.lut_s);
@@ -122,7 +142,7 @@ PimDlEngine::estimate(const TransformerConfig &model,
         scheduled = scheduler.schedule(costed);
     }
     obs::MetricsRegistry::instance()
-        .counter("plan.nodes_scheduled")
+        .counter(Metric::PlanNodesScheduled)
         .add(plan.nodes.size());
     if (verify::verifyPlansEnabled()) {
         verify::requireClean(verify::verifyScheduleResult(

@@ -13,6 +13,8 @@
 
 namespace pimdl {
 
+using obs::Metric;
+
 LutWorkloadShape
 lutShapeFor(const LutLayer &layer, std::size_t rows)
 {
@@ -87,19 +89,21 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
     span.attr("model_s", result.cost.total());
 
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    static obs::Counter &runs = reg.counter("lut.runs");
-    static obs::Counter &pe_kernels = reg.counter("lut.pe_kernels");
-    static obs::Counter &link_bytes = reg.counter("lut.link_bytes");
-    static obs::Counter &stream_bytes = reg.counter("lut.pe_stream_bytes");
-    static obs::Counter &cycles = reg.counter("lut.model_cycles");
+    static obs::Counter &runs = reg.counter(Metric::LutRuns);
+    static obs::Counter &pe_kernels = reg.counter(Metric::LutPeKernels);
+    static obs::Counter &link_bytes = reg.counter(Metric::LutLinkBytes);
+    static obs::Counter &stream_bytes =
+        reg.counter(Metric::LutPeStreamBytes);
+    static obs::Counter &cycles = reg.counter(Metric::LutModelCycles);
     static obs::Histogram &model_latency =
-        reg.histogram("lut.model_latency_s");
+        reg.histogram(Metric::LutModelLatencyS);
 
     runs.add();
     pe_kernels.add(groups * lanes);
     link_bytes.add(static_cast<std::uint64_t>(result.cost.link_bytes));
     stream_bytes.add(static_cast<std::uint64_t>(
-        result.cost.pe_stream_bytes * static_cast<double>(result.pes_used)));
+        result.cost.pe_stream_bytes *
+        static_cast<double>(result.pes_used)));
     // Modeled PE cycles: lock-step PEs each spend total() seconds at the
     // platform clock.
     cycles.add(static_cast<std::uint64_t>(result.cost.microKernelTotal() *
@@ -299,7 +303,7 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
         }
 
         static obs::Gauge &g_overlap =
-            reg.gauge("transfer.overlap_frac");
+            reg.gauge(Metric::TransferOverlapFrac);
         g_overlap.set(result.transfer.overlapFrac());
         span.attr("transfer_hidden_s", result.transfer.hidden_model_s);
     } else if (faults == nullptr) {
@@ -327,23 +331,24 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
         result.fault.hard_failed_pes = hard_failed;
 
         static obs::Counter &c_fallbacks =
-            reg.counter("fault.lut.host_fallbacks");
+            reg.counter(Metric::FaultLutHostFallbacks);
         static obs::Counter &c_transient =
-            reg.counter("fault.injected.pe_transient");
+            reg.counter(Metric::FaultInjectedPeTransient);
         static obs::Counter &c_bitflip =
-            reg.counter("fault.injected.lut_bitflip");
+            reg.counter(Metric::FaultInjectedLutBitflip);
         static obs::Counter &c_corrupt =
-            reg.counter("fault.injected.transfer_corrupt");
+            reg.counter(Metric::FaultInjectedTransferCorrupt);
         static obs::Counter &c_stall =
-            reg.counter("fault.injected.transfer_stall");
-        static obs::Counter &c_retries = reg.counter("fault.lut.retries");
+            reg.counter(Metric::FaultInjectedTransferStall);
+        static obs::Counter &c_retries =
+            reg.counter(Metric::FaultLutRetries);
         static obs::Counter &c_mismatches =
-            reg.counter("fault.lut.checksum_mismatches");
+            reg.counter(Metric::FaultLutChecksumMismatches);
         static obs::Counter &c_remapped =
-            reg.counter("fault.lut.tiles_remapped");
-        static obs::Counter &c_dead = reg.counter("fault.lut.dead_pes");
+            reg.counter(Metric::FaultLutTilesRemapped);
+        static obs::Counter &c_dead = reg.counter(Metric::FaultLutDeadPes);
         static obs::Histogram &h_added =
-            reg.histogram("fault.lut.added_latency_s");
+            reg.histogram(Metric::FaultLutAddedLatencyS);
 
         DegradedLutRemap remap;
         if (hard_failed > 0) {

@@ -68,7 +68,7 @@ struct TransferReport
     double saved_stage_s = 0.0;
     std::size_t resident_hits = 0;
     std::size_t resident_misses = 0;
-    /** Per-burst fault outcomes (streams 301+). */
+    /** Per-burst fault outcomes (DrawStream::TransferBurst*). */
     std::size_t stalls = 0;
     std::size_t corrupt_retries = 0;
     /** Modeled stall/re-stage seconds the burst faults added. */

@@ -4,15 +4,7 @@
 
 namespace pimdl {
 
-namespace {
-
-obs::MetricsRegistry &
-registry()
-{
-    return obs::MetricsRegistry::instance();
-}
-
-} // namespace
+using obs::Metric;
 
 void
 WatchdogConfig::validate() const
@@ -27,7 +19,8 @@ WatchdogConfig::validate() const
         throw std::runtime_error(
             "WatchdogConfig.min_hang_timeout_s must be > 0");
     if (poll_slice_s <= 0.0)
-        throw std::runtime_error("WatchdogConfig.poll_slice_s must be > 0");
+        throw std::runtime_error(
+            "WatchdogConfig.poll_slice_s must be > 0");
 }
 
 void
@@ -43,10 +36,12 @@ OverloadConfig::validate() const
         throw std::runtime_error(
             "OverloadConfig.aimd_min_inflight must be > 0");
     if (aimd_max_inflight != 0 && aimd_max_inflight < aimd_min_inflight)
-        throw std::runtime_error("OverloadConfig.aimd_max_inflight must be "
-                                 "0 or >= aimd_min_inflight");
+        throw std::runtime_error(
+            "OverloadConfig.aimd_max_inflight must be "
+            "0 or >= aimd_min_inflight");
     if (aimd_increase <= 0.0)
-        throw std::runtime_error("OverloadConfig.aimd_increase must be > 0");
+        throw std::runtime_error(
+            "OverloadConfig.aimd_increase must be > 0");
     if (aimd_decrease <= 0.0 || aimd_decrease >= 1.0)
         throw std::runtime_error(
             "OverloadConfig.aimd_decrease must be in (0, 1)");
@@ -70,10 +65,11 @@ void
 CircuitBreakerConfig::validate() const
 {
     if (window == 0)
-        throw std::runtime_error("CircuitBreakerConfig.window must be > 0");
+        throw std::runtime_error(
+            "CircuitBreakerConfig.window must be > 0");
     if (min_samples == 0 || min_samples > window)
-        throw std::runtime_error("CircuitBreakerConfig.min_samples must be "
-                                 "in [1, window]");
+        throw std::runtime_error(
+            "CircuitBreakerConfig.min_samples must be in [1, window]");
     if (failure_threshold <= 0.0 || failure_threshold > 1.0)
         throw std::runtime_error("CircuitBreakerConfig.failure_threshold "
                                  "must be in (0, 1]");
@@ -84,8 +80,9 @@ CircuitBreakerConfig::validate() const
         throw std::runtime_error(
             "CircuitBreakerConfig.half_open_probes must be > 0");
     if (half_open_successes == 0 || half_open_successes > half_open_probes)
-        throw std::runtime_error("CircuitBreakerConfig.half_open_successes "
-                                 "must be in [1, half_open_probes]");
+        throw std::runtime_error(
+            "CircuitBreakerConfig.half_open_successes "
+            "must be in [1, half_open_probes]");
 }
 
 void
@@ -97,17 +94,17 @@ ResilienceConfig::validate() const
 }
 
 CircuitBreaker::CircuitBreaker(const CircuitBreakerConfig &config,
-                               Clock *clock,
-                               const std::string &metric_prefix)
+                               Clock *clock)
     : config_(config), clock_(clock)
 {
     config_.validate();
     if (clock_ == nullptr)
         throw std::runtime_error("CircuitBreaker requires a clock");
-    state_gauge_ = &registry().gauge(metric_prefix + ".state");
-    opens_counter_ = &registry().counter(metric_prefix + ".opens");
-    closes_counter_ = &registry().counter(metric_prefix + ".closes");
-    probes_counter_ = &registry().counter(metric_prefix + ".probes");
+    obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
+    state_gauge_ = &reg.gauge(Metric::LiveBreakerState);
+    opens_counter_ = &reg.counter(Metric::LiveBreakerOpens);
+    closes_counter_ = &reg.counter(Metric::LiveBreakerCloses);
+    probes_counter_ = &reg.counter(Metric::LiveBreakerProbes);
     state_gauge_->set(static_cast<double>(BreakerState::Closed));
 }
 

@@ -12,6 +12,8 @@
 
 namespace pimdl {
 
+using obs::Metric;
+
 void
 ServingFaultProfile::validate() const
 {
@@ -107,28 +109,30 @@ simulateServingTrace(const ServingConfig &config,
     span.attr("max_batch", static_cast<std::uint64_t>(config.max_batch));
     span.attr("horizon_s", config.horizon_s);
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    static obs::Counter &c_requests = reg.counter("serving.requests");
-    static obs::Counter &c_batches = reg.counter("serving.batches");
+    static obs::Counter &c_requests = reg.counter(Metric::ServingRequests);
+    static obs::Counter &c_batches = reg.counter(Metric::ServingBatches);
     static obs::Histogram &h_latency =
-        reg.histogram("serving.request_latency_s");
-    static obs::Histogram &h_batch = reg.histogram("serving.batch_size");
-    static obs::Histogram &h_queue = reg.histogram("serving.queue_depth");
-    static obs::Gauge &g_util = reg.gauge("serving.utilization");
+        reg.histogram(Metric::ServingRequestLatencyS);
+    static obs::Histogram &h_batch =
+        reg.histogram(Metric::ServingBatchSize);
+    static obs::Histogram &h_queue =
+        reg.histogram(Metric::ServingQueueDepth);
+    static obs::Gauge &g_util = reg.gauge(Metric::ServingUtilization);
     // Fault-schema metrics are registered unconditionally so the
     // snapshot artifact carries stable fault.* keys even for fault-free
     // runs (check_metrics.py validates their presence).
     static obs::Counter &c_f_retries =
-        reg.counter("fault.serving.batch_retries");
+        reg.counter(Metric::FaultServingBatchRetries);
     static obs::Counter &c_f_failed_batches =
-        reg.counter("fault.serving.failed_batches");
+        reg.counter(Metric::FaultServingFailedBatches);
     static obs::Counter &c_f_failed_requests =
-        reg.counter("fault.serving.failed_requests");
+        reg.counter(Metric::FaultServingFailedRequests);
     static obs::Counter &c_f_timeouts =
-        reg.counter("fault.serving.deadline_timeouts");
+        reg.counter(Metric::FaultServingDeadlineTimeouts);
     static obs::Counter &c_f_degraded =
-        reg.counter("fault.serving.degraded_batches");
+        reg.counter(Metric::FaultServingDegradedBatches);
     static obs::Gauge &g_f_avail =
-        reg.gauge("fault.serving.availability");
+        reg.gauge(Metric::FaultServingAvailability);
 
     ServingStats stats;
     stats.requests = arrivals.size();
@@ -210,7 +214,7 @@ simulateServingTrace(const ServingConfig &config,
                                : base_service *
                                      config.faults.degraded_service_factor;
                 const double u = faultHashUniform(
-                    config.faults.seed, kServingBatchFaultStream,
+                    config.faults.seed, DrawStream::ServingBatchFault,
                     batch_idx, attempt);
                 if (u >= config.faults.batch_fault_rate) {
                     served = true;

@@ -75,7 +75,8 @@ struct ServingConfig
     double arrival_rate = 10.0;
     /** Largest batch the engine accepts. */
     std::size_t max_batch = 64;
-    /** Dispatch a partial batch once its oldest request waited this long. */
+    /** Dispatch a partial batch once its oldest request waited this
+     * long. */
     double max_wait_s = 0.5;
     /** Simulated wall-clock span, seconds. */
     double horizon_s = 300.0;

@@ -12,6 +12,8 @@
 
 namespace pimdl {
 
+using obs::Metric;
+
 namespace {
 
 /**
@@ -133,42 +135,35 @@ LiveServingRuntime::LiveServingRuntime(const LiveServingConfig &config,
                   "serving.live.work_queue")
 {
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    m_.requests = &reg.counter("serving.live.requests");
-    m_.rejected = &reg.counter("serving.live.rejected");
-    m_.overload_rejected =
-        &reg.counter("serving.live.overload_rejected");
-    m_.completed = &reg.counter("serving.live.completed");
-    m_.shed = &reg.counter("serving.live.shed");
-    m_.shed_admission = &reg.counter("serving.live.shed_admission");
-    m_.deadline_timeouts =
-        &reg.counter("serving.live.deadline_timeouts");
-    m_.failed_requests = &reg.counter("serving.live.failed_requests");
-    m_.batches = &reg.counter("serving.live.batches");
-    m_.batch_retries = &reg.counter("serving.live.batch_retries");
-    m_.failed_batches = &reg.counter("serving.live.failed_batches");
-    m_.watchdog_hangs = &reg.counter("serving.live.watchdog.hangs");
-    m_.watchdog_respawns =
-        &reg.counter("serving.live.watchdog.respawns");
-    m_.watchdog_discarded =
-        &reg.counter("serving.live.watchdog.discarded");
-    m_.bisections = &reg.counter("serving.live.bisections");
-    m_.poison_isolated = &reg.counter("serving.live.poison_isolated");
+    m_.requests = &reg.counter(Metric::LiveRequests);
+    m_.rejected = &reg.counter(Metric::LiveRejected);
+    m_.overload_rejected = &reg.counter(Metric::LiveOverloadRejected);
+    m_.completed = &reg.counter(Metric::LiveCompleted);
+    m_.shed = &reg.counter(Metric::LiveShed);
+    m_.shed_admission = &reg.counter(Metric::LiveShedAdmission);
+    m_.deadline_timeouts = &reg.counter(Metric::LiveDeadlineTimeouts);
+    m_.failed_requests = &reg.counter(Metric::LiveFailedRequests);
+    m_.batches = &reg.counter(Metric::LiveBatches);
+    m_.batch_retries = &reg.counter(Metric::LiveBatchRetries);
+    m_.failed_batches = &reg.counter(Metric::LiveFailedBatches);
+    m_.watchdog_hangs = &reg.counter(Metric::LiveWatchdogHangs);
+    m_.watchdog_respawns = &reg.counter(Metric::LiveWatchdogRespawns);
+    m_.watchdog_discarded = &reg.counter(Metric::LiveWatchdogDiscarded);
+    m_.bisections = &reg.counter(Metric::LiveBisections);
+    m_.poison_isolated = &reg.counter(Metric::LivePoisonIsolated);
     m_.breaker_short_circuited =
-        &reg.counter("serving.live.breaker.short_circuited");
-    m_.queue_depth = &reg.gauge("serving.live.queue_depth");
-    m_.availability = &reg.gauge("serving.live.availability");
-    m_.inflight_limit = &reg.gauge("serving.live.inflight_limit");
-    m_.request_latency_s =
-        &reg.histogram("serving.live.request_latency_s");
-    m_.queue_wait_s = &reg.histogram("serving.live.queue_wait_s");
-    m_.batch_size = &reg.histogram("serving.live.batch_size");
-    m_.batch_service_s =
-        &reg.histogram("serving.live.batch_service_s");
-    m_.batch_queue_depth =
-        &reg.histogram("serving.live.batch_queue_depth");
+        &reg.counter(Metric::LiveBreakerShortCircuited);
+    m_.queue_depth = &reg.gauge(Metric::LiveQueueDepth);
+    m_.availability = &reg.gauge(Metric::LiveAvailability);
+    m_.inflight_limit = &reg.gauge(Metric::LiveInflightLimit);
+    m_.request_latency_s = &reg.histogram(Metric::LiveRequestLatencyS);
+    m_.queue_wait_s = &reg.histogram(Metric::LiveQueueWaitS);
+    m_.batch_size = &reg.histogram(Metric::LiveBatchSize);
+    m_.batch_service_s = &reg.histogram(Metric::LiveBatchServiceS);
+    m_.batch_queue_depth = &reg.histogram(Metric::LiveBatchQueueDepth);
 
     breaker_ = std::make_unique<CircuitBreaker>(
-        config_.resilience.breaker, clock_, "serving.live.breaker");
+        config_.resilience.breaker, clock_);
 
     const OverloadConfig &ov = config_.resilience.overload;
     batch_service_ewma_.store(ov.assumed_batch_latency_s,
@@ -581,9 +576,9 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
             // Same draw stream and keying as the analytical simulator,
             // so a fixed profile faults the same batch indices here
             // and there.
-            const double u =
-                faultHashUniform(faults.seed, kServingBatchFaultStream,
-                                 task.id, attempt);
+            const double u = faultHashUniform(
+                faults.seed, DrawStream::ServingBatchFault, task.id,
+                attempt);
             faulted = u < faults.batch_fault_rate;
         }
         if (!degraded) {

@@ -10,7 +10,7 @@
  * pool drives a real executor (the functional transformer) while the
  * batcher keeps forming the next batch — continuous batching. Batches
  * ride the same deterministic fault/retry ladder as the simulator
- * (shared draw stream kServingBatchFaultStream), and requests past
+ * (shared draw stream DrawStream::ServingBatchFault), and requests past
  * their deadline are shed at admission or dispatch.
  *
  * On top of that sits the resilience control plane (resilience.h):

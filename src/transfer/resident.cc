@@ -7,6 +7,8 @@
 namespace pimdl {
 namespace transfer {
 
+using obs::Metric;
+
 ResidentLutManager::ResidentLutManager(double capacity_bytes)
     : capacity_bytes_(capacity_bytes)
 {
@@ -19,12 +21,13 @@ bool
 ResidentLutManager::touch(std::uint64_t key, double bytes)
 {
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    static obs::Counter &c_hits = reg.counter("transfer.resident_hits");
+    static obs::Counter &c_hits =
+        reg.counter(Metric::TransferResidentHits);
     static obs::Counter &c_misses =
-        reg.counter("transfer.resident_misses");
+        reg.counter(Metric::TransferResidentMisses);
     static obs::Counter &c_evictions =
-        reg.counter("transfer.evictions");
-    static obs::Gauge &g_bytes = reg.gauge("transfer.resident_bytes");
+        reg.counter(Metric::TransferEvictions);
+    static obs::Gauge &g_bytes = reg.gauge(Metric::TransferResidentBytes);
 
     bool hit = false;
     std::uint64_t evicted = 0;

@@ -6,6 +6,8 @@
 namespace pimdl {
 namespace transfer {
 
+using obs::Metric;
+
 TransferScheduler::TransferScheduler(Options options)
     : options_(options),
       clock_(options.clock != nullptr ? options.clock
@@ -78,7 +80,8 @@ TransferScheduler::runFill(StagingChannel *channel, std::size_t slot)
     const FaultInjector *faults = options_.faults;
     const std::uint64_t seed =
         faults != nullptr ? faults->config().seed : 0;
-    const FaultConfig *fc = faults != nullptr ? &faults->config() : nullptr;
+    const FaultConfig *fc =
+        faults != nullptr ? &faults->config() : nullptr;
 
     for (std::size_t attempt = 0;; ++attempt) {
         if (request.fill && request.bytes > 0)
@@ -87,13 +90,13 @@ TransferScheduler::runFill(StagingChannel *channel, std::size_t slot)
             break;
         // Per-burst stall draw: modeled seconds only, never a wall
         // sleep, so accounting stays clock-implementation agnostic.
-        if (faultHashUniform(seed, kTransferBurstStallStream, seq,
+        if (faultHashUniform(seed, DrawStream::TransferBurstStall, seq,
                              attempt) < fc->transfer_stall_rate) {
             ++report.stalls;
             report.added_seconds += fc->stall_penalty_s;
         }
         const bool corrupt =
-            faultHashUniform(seed, kTransferBurstCorruptStream, seq,
+            faultHashUniform(seed, DrawStream::TransferBurstCorrupt, seq,
                              attempt) < fc->transfer_corrupt_rate;
         if (!corrupt)
             break;
@@ -103,8 +106,8 @@ TransferScheduler::runFill(StagingChannel *channel, std::size_t slot)
             // clean refill's.
             const std::uint64_t clean = faultChecksum(dst, request.bytes);
             const std::size_t target = static_cast<std::size_t>(
-                faultHashUniform(seed, kTransferBurstTargetStream, seq,
-                                 attempt) *
+                faultHashUniform(seed, DrawStream::TransferBurstTarget,
+                                 seq, attempt) *
                 static_cast<double>(request.bytes));
             dst[target < request.bytes ? target : request.bytes - 1] ^=
                 0xFF;
@@ -146,13 +149,14 @@ TransferScheduler::recordFill(double bytes, double wall_s,
 {
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
     static obs::Counter &c_bursts =
-        reg.counter("transfer.staged_bursts");
-    static obs::Counter &c_bytes = reg.counter("transfer.staged_bytes");
-    static obs::Counter &c_stalls = reg.counter("transfer.stalls");
+        reg.counter(Metric::TransferStagedBursts);
+    static obs::Counter &c_bytes =
+        reg.counter(Metric::TransferStagedBytes);
+    static obs::Counter &c_stalls = reg.counter(Metric::TransferStalls);
     static obs::Counter &c_retries =
-        reg.counter("transfer.corrupt_retries");
+        reg.counter(Metric::TransferCorruptRetries);
     static obs::Histogram &h_wall =
-        reg.histogram("transfer.stage_wall_s");
+        reg.histogram(Metric::TransferStageWallS);
     {
         MutexLock lock(stats_mu_);
         ++stats_.bursts_staged;

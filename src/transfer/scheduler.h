@@ -15,12 +15,13 @@
  * queue's own lock; no path ever holds both, so the runtime lock-order
  * detector sees no edge between them.
  *
- * Fault injection moves to per-burst granularity here (streams 301+):
- * each staged burst draws corruption and stall outcomes keyed by its
- * global sequence number and attempt. A corrupted fill is detected by
- * checksum and re-staged under the retry policy; penalties accumulate
- * as modeled seconds on the burst, never as wall sleeps, so accounting
- * stays ManualClock-deterministic.
+ * Fault injection moves to per-burst granularity here (the
+ * DrawStream::TransferBurst* streams): each staged burst draws
+ * corruption and stall outcomes keyed by its global sequence number
+ * and attempt. A corrupted fill is detected by checksum and re-staged
+ * under the retry policy; penalties accumulate as modeled seconds on
+ * the burst, never as wall sleeps, so accounting stays
+ * ManualClock-deterministic.
  */
 
 #ifndef PIMDL_TRANSFER_SCHEDULER_H
@@ -40,12 +41,6 @@
 
 namespace pimdl {
 namespace transfer {
-
-/** Per-burst fault draw streams (transfer engine range: 301+; fault.h
- * owns 1-6 and 101, chaos.h owns 201+). */
-inline constexpr std::uint64_t kTransferBurstCorruptStream = 301;
-inline constexpr std::uint64_t kTransferBurstStallStream = 302;
-inline constexpr std::uint64_t kTransferBurstTargetStream = 303;
 
 /** One staging request: how many bytes, how to fill them, and what
  * the burst costs in modeled link seconds. */

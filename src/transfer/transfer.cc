@@ -8,15 +8,17 @@
 namespace pimdl {
 namespace transfer {
 
+using obs::Metric;
+
 const char *
 linkPatternName(LinkPattern pattern)
 {
     switch (pattern) {
-      case LinkPattern::Broadcast:
+    case LinkPattern::Broadcast:
         return "broadcast";
-      case LinkPattern::Scatter:
+    case LinkPattern::Scatter:
         return "scatter";
-      case LinkPattern::Gather:
+    case LinkPattern::Gather:
         return "gather";
     }
     return "?";
@@ -26,11 +28,11 @@ const BandwidthCurve &
 curveFor(const PimPlatformConfig &platform, LinkPattern pattern)
 {
     switch (pattern) {
-      case LinkPattern::Broadcast:
+    case LinkPattern::Broadcast:
         return platform.host_broadcast;
-      case LinkPattern::Scatter:
+    case LinkPattern::Scatter:
         return platform.host_scatter;
-      case LinkPattern::Gather:
+    case LinkPattern::Gather:
         return platform.host_gather;
     }
     return platform.host_broadcast;
@@ -182,11 +184,11 @@ planTransferBursts(Plan &plan, const PimPlatformConfig &platform,
     }
 
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    static obs::Counter &c_bursts = reg.counter("transfer.bursts");
+    static obs::Counter &c_bursts = reg.counter(Metric::TransferBursts);
     static obs::Counter &c_coalesced =
-        reg.counter("transfer.coalesced_bytes");
+        reg.counter(Metric::TransferCoalescedBytes);
     static obs::Counter &c_merged =
-        reg.counter("transfer.merged_pieces");
+        reg.counter(Metric::TransferMergedPieces);
     c_bursts.add(result.bursts.size());
     c_coalesced.add(static_cast<std::uint64_t>(result.coalesced_bytes));
     c_merged.add(result.merged_pieces);

@@ -15,6 +15,8 @@
 namespace pimdl {
 namespace verify {
 
+using obs::Metric;
+
 const char *
 severityName(Severity severity)
 {
@@ -144,11 +146,12 @@ PassManager::run(const Plan &plan,
                  const PimPlatformConfig *platform) const
 {
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    static obs::Counter &c_plans = reg.counter("verify.plans_verified");
-    static obs::Counter &c_passes = reg.counter("verify.passes_run");
-    static obs::Counter &c_diags = reg.counter("verify.diagnostics");
-    static obs::Counter &c_errors = reg.counter("verify.errors");
-    static obs::Histogram &h_wall = reg.histogram("verify.wall_s");
+    static obs::Counter &c_plans =
+        reg.counter(Metric::VerifyPlansVerified);
+    static obs::Counter &c_passes = reg.counter(Metric::VerifyPassesRun);
+    static obs::Counter &c_diags = reg.counter(Metric::VerifyDiagnostics);
+    static obs::Counter &c_errors = reg.counter(Metric::VerifyErrors);
+    static obs::Histogram &h_wall = reg.histogram(Metric::VerifyWallS);
 
     obs::TraceSpan span("verify.plan");
     span.attr("nodes", static_cast<std::uint64_t>(plan.nodes.size()));

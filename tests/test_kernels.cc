@@ -147,9 +147,10 @@ TEST_F(KernelParity, CcsArgminOddShapes)
             const auto norms = centroidNorms(centroids, ct_count, v_len);
             for (int trial = 0; trial < 8; ++trial) {
                 const auto v = randomFloats(rng, v_len);
-                const std::size_t want = kernels::scalarKernels().ccs_argmin(
-                    v.data(), centroids.data(), norms.data(), ct_count,
-                    v_len);
+                const std::size_t want =
+                    kernels::scalarKernels().ccs_argmin(
+                        v.data(), centroids.data(), norms.data(),
+                        ct_count, v_len);
                 for (const kernels::KernelTable *impl :
                      kernels::availableKernels()) {
                     EXPECT_EQ(impl->ccs_argmin(v.data(), centroids.data(),

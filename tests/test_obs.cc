@@ -10,6 +10,7 @@
 #include <cctype>
 #include <cstddef>
 #include <cstdint>
+#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -407,8 +408,10 @@ TEST(ObsSnapshot, InstrumentedStackPublishesRequiredKeys)
     cfg.horizon_s = 10.0;
     (void)sim.simulate(cfg);
 
-    const std::string json = obs::snapshotJson();
-    EXPECT_TRUE(JsonChecker(json).valid());
+    EXPECT_TRUE(JsonChecker(obs::snapshotJson()).valid());
+    // Search the published values only: the snapshot's catalog section
+    // names every declared metric whether or not it was published.
+    const std::string json = obs::MetricsRegistry::instance().toJson();
     for (const char *key :
          {"\"engine.role.QKV.ccs_s\"", "\"engine.role.QKV.lut_s\"",
           "\"engine.role.FFN2.ccs_s\"", "\"engine.ccs_s\"",
@@ -417,6 +420,64 @@ TEST(ObsSnapshot, InstrumentedStackPublishesRequiredKeys)
           "\"tuner.searches\"", "\"tuner.mappings_evaluated\"",
           "\"tuner.mappings_pruned\"", "\"tuner.search_wall_s\""})
         EXPECT_NE(json.find(key), std::string::npos) << key;
+}
+
+TEST(ObsSnapshot, CatalogSectionListsEveryMode)
+{
+    const std::string json = obs::snapshotJson();
+    const std::size_t catalog = json.find("\"catalog\":{");
+    ASSERT_NE(catalog, std::string::npos);
+    for (int m = 0; m < static_cast<int>(obs::RequireMode::None); ++m) {
+        const std::string mode =
+            obs::requireModeName(static_cast<obs::RequireMode>(m));
+        EXPECT_NE(json.find("\"" + mode + "\":{\"counters\":[", catalog),
+                  std::string::npos)
+            << mode;
+    }
+    EXPECT_EQ(json.find("\"none\":", catalog), std::string::npos);
+    // Names land under their kind: a base gauge, a verify histogram.
+    EXPECT_NE(json.find("\"gauges\":[\"engine.role.QKV.ccs_s\"", catalog),
+              std::string::npos);
+    EXPECT_NE(json.find("\"histograms\":[\"verify.wall_s\"]", catalog),
+              std::string::npos);
+}
+
+TEST(ObsCatalog, NamesAreUnique)
+{
+    std::set<std::string> names;
+    for (const obs::MetricInfo &info : obs::kMetricCatalog)
+        EXPECT_TRUE(names.insert(info.name).second) << info.name;
+}
+
+TEST(ObsCatalog, WrongKindLookupIsRejected)
+{
+    obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
+    EXPECT_THROW(reg.gauge(obs::Metric::EngineEstimates),
+                 std::logic_error);
+    EXPECT_THROW(reg.counter(obs::Metric::EngineTotalS), std::logic_error);
+    EXPECT_THROW(reg.histogram(obs::Metric::KernelsImpl),
+                 std::logic_error);
+    // The right kind resolves to the object the by-name lookup returns.
+    EXPECT_EQ(&reg.counter(obs::Metric::EngineEstimates),
+              &reg.counter("engine.estimates"));
+}
+
+TEST(ObsCatalog, RoleGaugesCarryTheirRolesSplit)
+{
+    // The per-role gauges are the one catalog family named after an
+    // enum elsewhere: each role's split must land in
+    // "engine.role.<linearRoleName>.{ccs_s,lut_s}".
+    PimDlEngine engine(upmemPlatform(), xeon4210Dual());
+    const InferenceEstimate est = engine.estimatePimDl(
+        customTransformer("obs-roles", 256, 2, 128, 4), LutNnParams{4, 16});
+    ASSERT_EQ(est.per_linear.size(), 4u);
+    obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
+    for (const LinearLatency &layer : est.per_linear) {
+        const std::string prefix =
+            std::string("engine.role.") + linearRoleName(layer.role);
+        EXPECT_EQ(reg.gauge(prefix + ".ccs_s").value(), layer.ccs_s);
+        EXPECT_EQ(reg.gauge(prefix + ".lut_s").value(), layer.lut_s);
+    }
 }
 
 TEST(ObsSnapshot, EscapesAwkwardMetricNames)
